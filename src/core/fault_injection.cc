@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "base/check.hh"
@@ -39,6 +40,19 @@ assignmentHash(const Assignment &assignment)
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+/** Flips the low 24 mantissa bits of an Ok reading. */
+MeasurementOutcome
+corrupt(MeasurementOutcome outcome)
+{
+    if (!outcome.ok())
+        return outcome;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &outcome.value, sizeof bits);
+    bits ^= 0xffffffULL;
+    std::memcpy(&outcome.value, &bits, sizeof bits);
+    return outcome;
 }
 
 } // anonymous namespace
@@ -119,25 +133,6 @@ FaultInjectingEngine::applyFault(
     SCHED_UNREACHABLE("unreachable fault kind");
 }
 
-MeasurementOutcome
-FaultInjectingEngine::measureOutcome(const Assignment &assignment)
-{
-    OutcomeKernel kernel = outcomeKernel(1);
-    if (kernel)
-        return kernel(assignment, 0);
-    const std::uint64_t index =
-        cursor_.fetch_add(1, std::memory_order_relaxed);
-    return applyFault(index, assignment, [&] {
-        return inner_.measure(assignment);
-    });
-}
-
-double
-FaultInjectingEngine::measure(const Assignment &assignment)
-{
-    return measureOutcome(assignment).valueOrNaN();
-}
-
 void
 FaultInjectingEngine::measureBatchOutcome(
     std::span<const Assignment> batch,
@@ -157,7 +152,7 @@ FaultInjectingEngine::measureBatchOutcome(
         const std::uint64_t index =
             cursor_.fetch_add(1, std::memory_order_relaxed);
         out[i] = applyFault(index, batch[i], [&, i] {
-            return inner_.measure(batch[i]);
+            return inner_.measureOutcome(batch[i]).valueOrNaN();
         });
     }
 }
@@ -165,7 +160,7 @@ FaultInjectingEngine::measureBatchOutcome(
 OutcomeKernel
 FaultInjectingEngine::outcomeKernel(std::size_t batchSize)
 {
-    BatchKernel inner_kernel = inner_.parallelKernel(batchSize);
+    OutcomeKernel inner_kernel = inner_.outcomeKernel(batchSize);
     if (!inner_kernel)
         return {};
     // Reserve the fault indices for the whole batch up front, like
@@ -177,19 +172,8 @@ FaultInjectingEngine::outcomeKernel(std::size_t batchSize)
     return [this, inner_kernel, base](const Assignment &a,
                                       std::size_t i) {
         return applyFault(base + i, a, [&] {
-            return inner_kernel(a, i);
+            return inner_kernel(a, i).valueOrNaN();
         });
-    };
-}
-
-BatchKernel
-FaultInjectingEngine::parallelKernel(std::size_t batchSize)
-{
-    OutcomeKernel kernel = outcomeKernel(batchSize);
-    if (!kernel)
-        return {};
-    return [kernel](const Assignment &a, std::size_t i) {
-        return kernel(a, i).valueOrNaN();
     };
 }
 
@@ -208,6 +192,26 @@ FaultInjectingEngine::collectStats(EngineStats &stats) const
         std::max(0.0, options_.hangSeconds -
                           inner_.secondsPerMeasurement());
     inner_.collectStats(stats);
+}
+
+void
+ByzantineEngine::measureBatchOutcome(std::span<const Assignment> batch,
+                                     std::span<MeasurementOutcome> out)
+{
+    inner_.measureBatchOutcome(batch, out);
+    for (MeasurementOutcome &outcome : out)
+        outcome = corrupt(outcome);
+}
+
+OutcomeKernel
+ByzantineEngine::outcomeKernel(std::size_t batchSize)
+{
+    OutcomeKernel kernel = inner_.outcomeKernel(batchSize);
+    if (!kernel)
+        return {};
+    return [kernel](const Assignment &a, std::size_t i) {
+        return corrupt(kernel(a, i));
+    };
 }
 
 } // namespace core

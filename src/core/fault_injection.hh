@@ -75,7 +75,7 @@ struct FaultOptions
  * Decorator that injects deterministic faults into the measurements
  * of the wrapped engine.
  */
-class FaultInjectingEngine : public PerformanceEngine
+class FaultInjectingEngine : public OutcomeEngine
 {
   public:
     /**
@@ -85,17 +85,9 @@ class FaultInjectingEngine : public PerformanceEngine
     FaultInjectingEngine(PerformanceEngine &inner,
                          const FaultOptions &options);
 
-    double measure(const Assignment &assignment) override;
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-
     void measureBatchOutcome(
         std::span<const Assignment> batch,
         std::span<MeasurementOutcome> out) override;
-
-    /** Double-channel kernel: failed outcomes surface as NaN. */
-    BatchKernel parallelKernel(std::size_t batchSize) override;
 
     OutcomeKernel outcomeKernel(std::size_t batchSize) override;
 
@@ -146,6 +138,47 @@ class FaultInjectingEngine : public PerformanceEngine
     std::atomic<std::uint64_t> transients_{0};
     std::atomic<std::uint64_t> garbage_{0};
     std::atomic<std::uint64_t> outliers_{0};
+};
+
+/**
+ * Byzantine decorator: measures honestly through the wrapped engine,
+ * then flips the low 24 mantissa bits of every Ok outcome. The value
+ * stays finite, plausible and deterministic — indistinguishable from
+ * an honest reading without a second opinion, which is what
+ * core::ShardedEngine's audit duplication provides. Failed outcomes
+ * pass through unchanged.
+ */
+class ByzantineEngine : public OutcomeEngine
+{
+  public:
+    /** @param inner Engine to wrap; not owned. */
+    explicit ByzantineEngine(PerformanceEngine &inner) : inner_(inner)
+    {
+    }
+
+    void measureBatchOutcome(
+        std::span<const Assignment> batch,
+        std::span<MeasurementOutcome> out) override;
+
+    /** Corrupts the wrapped engine's kernel items the same way. */
+    OutcomeKernel outcomeKernel(std::size_t batchSize) override;
+
+    std::string name() const override { return inner_.name(); }
+
+    double
+    secondsPerMeasurement() const override
+    {
+        return inner_.secondsPerMeasurement();
+    }
+
+    void
+    collectStats(EngineStats &stats) const override
+    {
+        inner_.collectStats(stats);
+    }
+
+  private:
+    PerformanceEngine &inner_;
 };
 
 } // namespace core

@@ -945,34 +945,6 @@ JournalingEngine::measureBatchOutcome(
         recorded_ += batch.size();
 }
 
-double
-JournalingEngine::measure(const Assignment &assignment)
-{
-    MeasurementOutcome outcome = measureOutcome(assignment);
-    return outcome.valueOrNaN();
-}
-
-MeasurementOutcome
-JournalingEngine::measureOutcome(const Assignment &assignment)
-{
-    MeasurementOutcome outcome;
-    measureBatchOutcome(std::span<const Assignment>(&assignment, 1),
-                        std::span<MeasurementOutcome>(&outcome, 1));
-    return outcome;
-}
-
-void
-JournalingEngine::measureBatch(std::span<const Assignment> batch,
-                               std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    std::vector<MeasurementOutcome> outcomes(batch.size());
-    measureBatchOutcome(batch, outcomes);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        out[i] = outcomes[i].valueOrNaN();
-}
-
 void
 JournalingEngine::checkpoint(const JournalCheckpoint &checkpoint)
 {

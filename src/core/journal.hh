@@ -452,7 +452,7 @@ std::uint64_t journalKeyHash(const Assignment &assignment);
  * Publishes no kernels: callers above always take the batch path, so
  * every measurement is journaled.
  */
-class JournalingEngine : public PerformanceEngine
+class JournalingEngine : public OutcomeEngine
 {
   public:
     /**
@@ -508,11 +508,6 @@ class JournalingEngine : public PerformanceEngine
      *  record is already on disk from the original run). */
     void checkpoint(const JournalCheckpoint &checkpoint);
 
-    double measure(const Assignment &assignment) override;
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
     void measureBatchOutcome(std::span<const Assignment> batch,
                              std::span<MeasurementOutcome> out) override;
 

@@ -21,8 +21,9 @@
  * Composition: place the memoizer *above* a ParallelEngine —
  * MemoizingEngine dedups the batch and forwards only the misses, so
  * the pool measures each distinct class once. The decorator is
- * thread-safe for concurrent measure() calls, but it deliberately
- * publishes no parallelKernel of its own.
+ * thread-safe for concurrent measureOutcome() calls, but it
+ * deliberately publishes no outcomeKernel(): a kernel would let
+ * callers measure around the cache.
  */
 
 #ifndef STATSCHED_CORE_MEMOIZING_ENGINE_HH
@@ -44,7 +45,7 @@ namespace core
 /**
  * Decorator that caches measurements per canonical assignment class.
  */
-class MemoizingEngine : public PerformanceEngine
+class MemoizingEngine : public OutcomeEngine
 {
   public:
     /** @param inner Engine to wrap; not owned. */
@@ -53,32 +54,23 @@ class MemoizingEngine : public PerformanceEngine
     {
     }
 
-    double measure(const Assignment &assignment) override;
+    /**
+     * Single measurement: cache hits replay as Ok outcomes; only
+     * successful fresh readings enter the cache, so a transient
+     * failure is retried on the next request instead of being
+     * replayed forever.
+     */
+    MeasurementOutcome
+    measureOutcome(const Assignment &assignment) override;
 
     /**
      * Measures a batch with intra-batch deduplication: each canonical
      * class present in the batch (or the cache) is forwarded to the
      * wrapped engine at most once, in first-occurrence order — so for
      * a fixed input batch the miss sub-batch, and therefore the
-     * results, are deterministic.
-     */
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-
-    /**
-     * Failure-aware single measurement: cache hits replay as Ok
-     * outcomes; only successful fresh readings enter the cache, so a
-     * transient failure is retried on the next request instead of
-     * being replayed forever.
-     */
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-
-    /**
-     * Outcome analogue of measureBatch(): same intra-batch
-     * deduplication (duplicates of a failed first occurrence share
-     * its failed outcome), but failed outcomes are never cached
-     * across batches.
+     * results, are deterministic. Duplicates of a failed first
+     * occurrence share its failed outcome, but failed outcomes are
+     * never cached across batches.
      */
     void measureBatchOutcome(
         std::span<const Assignment> batch,

@@ -13,20 +13,33 @@
  * thousands of ~1.5 s measurements (Section 5.3), and every consumer
  * (estimator, iterative algorithm, local search, baselines) naturally
  * produces whole batches of assignments to measure. Engines that can
- * evaluate items of a batch independently publish a *batch kernel*
- * (parallelKernel()), which core::ParallelEngine fans out over a
- * worker pool; engines without one (e.g. the pinned-thread executor,
- * which owns the physical machine) fall back to the serial loop.
+ * evaluate items of a batch independently publish a *batch kernel*,
+ * which core::ParallelEngine fans out over a worker pool; engines
+ * without one (e.g. the pinned-thread executor, which owns the
+ * physical machine) fall back to the serial loop.
  *
- * Failure channel: real measurements can fail — a pinned pipeline
- * thread hangs, a counter wraps, a reading comes back NaN. The
- * outcome interface (measureOutcome / measureBatchOutcome /
- * outcomeKernel) mirrors the double interface but reports a
- * MeasurementOutcome per item, so failure-aware consumers (the
- * estimator, the iterative algorithm) can exclude failed readings
- * from the statistical sample instead of corrupting the tail fit.
- * Engines that only implement the double channel get the outcome
- * channel for free: non-finite values classify as failed.
+ * One channel per engine. A measurement has two views: a plain
+ * double (measure / measureBatch / parallelKernel) and a
+ * MeasurementOutcome that also says why a reading failed — a pinned
+ * pipeline thread hangs, a counter wraps, a reading comes back NaN
+ * (measureOutcome / measureBatchOutcome / outcomeKernel). Failure-
+ * aware consumers (the estimator, the iterative algorithm) use the
+ * outcome view to exclude failed readings from the statistical
+ * sample instead of corrupting the tail fit. Every engine implements
+ * exactly one of the two channels and derives the other:
+ *
+ *  - Leaf engines that return plain numbers (sim::SimulatedEngine,
+ *    sim::CycleSimEngine, core::TrainedPredictorEngine) implement the
+ *    double channel; PerformanceEngine's defaults classify their
+ *    readings into outcomes (non-finite values are Invalid).
+ *  - Every decorator, and every engine that reports its own failure
+ *    status, derives from OutcomeEngine, which defines the double
+ *    channel once, `final`, as valueOrNaN() of the outcome channel.
+ *    Decorators talk to the engine below only through its outcome
+ *    channel.
+ *
+ * Both views of any stack therefore always agree, and each
+ * decorator's logic and counters exist exactly once.
  *
  * Decorators (MeteredEngine here, core::ParallelEngine,
  * core::MemoizingEngine, core::FaultInjectingEngine and
@@ -180,7 +193,7 @@ struct EngineStats
     /** Measurements requested through the stack (cache hits
      *  included). */
     std::uint64_t measurements = 0;
-    /** measureBatch() invocations. */
+    /** Batch measurement calls (either channel). */
     std::uint64_t batches = 0;
     /** Measurements served from a memoization cache. */
     std::uint64_t cacheHits = 0;
@@ -313,7 +326,7 @@ class PerformanceEngine
      * Failure-aware single measurement. The default classifies the
      * double channel: finite readings are Ok, non-finite ones are
      * Invalid. Engines that can distinguish failure modes (timeouts,
-     * transient errors) override this.
+     * transient errors) derive from OutcomeEngine instead.
      */
     virtual MeasurementOutcome
     measureOutcome(const Assignment &assignment)
@@ -324,7 +337,7 @@ class PerformanceEngine
     /**
      * Failure-aware batch measurement; out[i] receives the outcome of
      * batch[i]. The default runs the double-channel measureBatch()
-     * and classifies each reading, so every engine supports it.
+     * and classifies each reading, so every leaf engine supports it.
      */
     virtual void
     measureBatchOutcome(std::span<const Assignment> batch,
@@ -341,8 +354,8 @@ class PerformanceEngine
     /**
      * Outcome-channel batch kernel, with the same reservation and
      * purity contract as parallelKernel(). The default wraps the
-     * double-channel kernel in classification; engines without a
-     * kernel return an empty function.
+     * double-channel kernel of a leaf engine in classification;
+     * engines without a kernel return an empty function.
      */
     virtual OutcomeKernel
     outcomeKernel(std::size_t batchSize)
@@ -402,44 +415,80 @@ class PerformanceEngine
 };
 
 /**
+ * Base of every engine that implements the outcome channel: all
+ * decorators, and engines that report their own failure status.
+ *
+ * A derived class implements measureBatchOutcome() and may override
+ * measureOutcome() (default: a one-item batch) and outcomeKernel()
+ * (default: no kernel, which is what layers that must see every
+ * measurement — a cache, a retry loop, a journal — want). The double
+ * channel is defined here once, as valueOrNaN() of the outcome
+ * channel, and cannot be overridden.
+ */
+class OutcomeEngine : public PerformanceEngine
+{
+  public:
+    double
+    measure(const Assignment &assignment) final
+    {
+        return measureOutcome(assignment).valueOrNaN();
+    }
+
+    void
+    measureBatch(std::span<const Assignment> batch,
+                 std::span<double> out) final
+    {
+        SCHED_REQUIRE(batch.size() == out.size(),
+                      "batch/result size mismatch");
+        std::vector<MeasurementOutcome> outcomes(batch.size());
+        measureBatchOutcome(batch, outcomes);
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            out[i] = outcomes[i].valueOrNaN();
+    }
+
+    BatchKernel
+    parallelKernel(std::size_t batchSize) final
+    {
+        OutcomeKernel kernel = outcomeKernel(batchSize);
+        if (!kernel)
+            return {};
+        return [kernel](const Assignment &a, std::size_t i) {
+            return kernel(a, i).valueOrNaN();
+        };
+    }
+
+    MeasurementOutcome
+    measureOutcome(const Assignment &assignment) override
+    {
+        MeasurementOutcome outcome;
+        measureBatchOutcome(std::span<const Assignment>(&assignment, 1),
+                            std::span<MeasurementOutcome>(&outcome, 1));
+        return outcome;
+    }
+
+    void measureBatchOutcome(
+        std::span<const Assignment> batch,
+        std::span<MeasurementOutcome> out) override = 0;
+
+    OutcomeKernel
+    outcomeKernel(std::size_t batchSize) override
+    {
+        (void)batchSize;
+        return {};
+    }
+};
+
+/**
  * Decorator that counts measurements and batches and accumulates the
  * modeled experimentation time of the wrapped engine. All counters
  * are atomic, so the decorator may sit on either side of a
  * core::ParallelEngine.
  */
-class MeteredEngine : public PerformanceEngine
+class MeteredEngine : public OutcomeEngine
 {
   public:
     /** @param inner Engine to wrap; not owned. */
     explicit MeteredEngine(PerformanceEngine &inner) : inner_(inner) {}
-
-    double
-    measure(const Assignment &assignment) override
-    {
-        count_.fetch_add(1, std::memory_order_relaxed);
-        return inner_.measure(assignment);
-    }
-
-    void
-    measureBatch(std::span<const Assignment> batch,
-                 std::span<double> out) override
-    {
-        count_.fetch_add(batch.size(), std::memory_order_relaxed);
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        inner_.measureBatch(batch, out);
-    }
-
-    BatchKernel
-    parallelKernel(std::size_t batchSize) override
-    {
-        BatchKernel kernel = inner_.parallelKernel(batchSize);
-        if (!kernel)
-            return {};
-        return [this, kernel](const Assignment &a, std::size_t i) {
-            count_.fetch_add(1, std::memory_order_relaxed);
-            return kernel(a, i);
-        };
-    }
 
     MeasurementOutcome
     measureOutcome(const Assignment &assignment) override

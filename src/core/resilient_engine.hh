@@ -86,7 +86,7 @@ struct ResilientOptions
  * Decorator that retries, screens and quarantines measurements of an
  * unreliable wrapped engine.
  */
-class ResilientEngine : public PerformanceEngine
+class ResilientEngine : public OutcomeEngine
 {
   public:
     /**
@@ -96,19 +96,10 @@ class ResilientEngine : public PerformanceEngine
     ResilientEngine(PerformanceEngine &inner,
                     const ResilientOptions &options = {});
 
-    double measure(const Assignment &assignment) override;
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-
+    /** Deliberately publishes no kernels: retries are stateful. */
     void measureBatchOutcome(
         std::span<const Assignment> batch,
         std::span<MeasurementOutcome> out) override;
-
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
-
-    /** Deliberately publishes no kernels: retries are stateful. */
 
     std::string name() const override { return inner_.name(); }
 

@@ -110,33 +110,6 @@ ShardedEngine::ShardedEngine(PerformanceEngine &inner,
 
 ShardedEngine::~ShardedEngine() { shutdownWorkers(); }
 
-double
-ShardedEngine::measure(const Assignment &assignment)
-{
-    return measureOutcome(assignment).valueOrNaN();
-}
-
-MeasurementOutcome
-ShardedEngine::measureOutcome(const Assignment &assignment)
-{
-    MeasurementOutcome outcome;
-    measureBatchOutcome(std::span<const Assignment>(&assignment, 1),
-                        std::span<MeasurementOutcome>(&outcome, 1));
-    return outcome;
-}
-
-void
-ShardedEngine::measureBatch(std::span<const Assignment> batch,
-                            std::span<double> out)
-{
-    SCHED_REQUIRE(batch.size() == out.size(),
-                  "batch/result size mismatch");
-    std::vector<MeasurementOutcome> outcomes(batch.size());
-    measureBatchOutcome(batch, outcomes);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        out[i] = outcomes[i].valueOrNaN();
-}
-
 void
 ShardedEngine::reserveMeasurementIndices(std::size_t count)
 {

@@ -198,7 +198,7 @@ struct ShardedOptions
  * PerformanceEngine decorator fanning batches out to shard workers;
  * see the file comment for the contract.
  */
-class ShardedEngine : public PerformanceEngine
+class ShardedEngine : public OutcomeEngine
 {
   public:
     /**
@@ -215,11 +215,6 @@ class ShardedEngine : public PerformanceEngine
 
     ~ShardedEngine() override;
 
-    double measure(const Assignment &assignment) override;
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override;
-    void measureBatch(std::span<const Assignment> batch,
-                      std::span<double> out) override;
     void
     measureBatchOutcome(std::span<const Assignment> batch,
                         std::span<MeasurementOutcome> out) override;

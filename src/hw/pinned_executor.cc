@@ -172,10 +172,15 @@ PinnedThreadEngine::hostCpuOf(core::ContextId context)
     return context % n;
 }
 
-double
-PinnedThreadEngine::measure(const core::Assignment &assignment)
+void
+PinnedThreadEngine::measureBatchOutcome(
+    std::span<const core::Assignment> batch,
+    std::span<core::MeasurementOutcome> out)
 {
-    return measureOutcome(assignment).valueOrNaN();
+    SCHED_REQUIRE(batch.size() == out.size(),
+                  "batch/result size mismatch");
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        out[i] = measureOutcome(batch[i]);
 }
 
 core::MeasurementOutcome

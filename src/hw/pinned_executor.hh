@@ -68,7 +68,7 @@ struct PinnedOptions
  * PerformanceEngine that really executes assignments with pinned
  * threads.
  */
-class PinnedThreadEngine : public core::PerformanceEngine
+class PinnedThreadEngine : public core::OutcomeEngine
 {
   public:
     /**
@@ -80,17 +80,20 @@ class PinnedThreadEngine : public core::PerformanceEngine
                        std::uint32_t instances,
                        const PinnedOptions &options = {});
 
-    /** @return measured packets per second of the assignment, or NaN
-     *  when the run timed out. */
-    double measure(const core::Assignment &assignment) override;
-
     /**
-     * Measures with watchdog supervision: a run whose stage threads
-     * do not exit within watchdogMillis of the stop request yields
-     * MeasureStatus::TimedOut rather than wedging the caller.
+     * Measures packets per second with watchdog supervision: a run
+     * whose stage threads do not exit within watchdogMillis of the
+     * stop request yields MeasureStatus::TimedOut rather than
+     * wedging the caller.
      */
     core::MeasurementOutcome
     measureOutcome(const core::Assignment &assignment) override;
+
+    /** Runs the batch one supervised measurement at a time: the
+     *  engine owns the physical machine. */
+    void measureBatchOutcome(
+        std::span<const core::Assignment> batch,
+        std::span<core::MeasurementOutcome> out) override;
 
     std::string name() const override;
 

@@ -50,7 +50,7 @@ drawBatch(std::size_t n, std::uint64_t seed = 47)
  * Fails the first `failuresPerKey` attempts of every assignment
  * class, then returns 100. Counts every attempt.
  */
-class FlakyEngine : public core::PerformanceEngine
+class FlakyEngine : public core::OutcomeEngine
 {
   public:
     explicit FlakyEngine(std::uint32_t failuresPerKey)
@@ -58,27 +58,16 @@ class FlakyEngine : public core::PerformanceEngine
     {
     }
 
-    double
-    measure(const Assignment &assignment) override
-    {
-        return measureOutcome(assignment).valueOrNaN();
-    }
-
-    MeasurementOutcome
-    measureOutcome(const Assignment &assignment) override
-    {
-        ++attempts_;
-        if (seen_[assignment.canonicalKey()]++ < failuresPerKey_)
-            return MeasurementOutcome::failure(MeasureStatus::Errored);
-        return MeasurementOutcome::classify(100.0);
-    }
-
     void
     measureBatchOutcome(std::span<const Assignment> batch,
                         std::span<MeasurementOutcome> out) override
     {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            out[i] = measureOutcome(batch[i]);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            ++attempts_;
+            out[i] = seen_[batch[i].canonicalKey()]++ < failuresPerKey_
+                ? MeasurementOutcome::failure(MeasureStatus::Errored)
+                : MeasurementOutcome::classify(100.0);
+        }
     }
 
     std::string name() const override { return "flaky"; }

@@ -9,7 +9,9 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "hw/pinned_executor.hh"
 
@@ -88,6 +90,13 @@ TEST(PinnedExecutor, WatchdogReapsAWedgedStage)
     EXPECT_EQ(engine.timeoutCount(), 1u);
     EXPECT_LT(elapsed, 2.0);
 
+    // The batch path, which the estimator takes, keeps the status.
+    std::vector<core::MeasurementOutcome> batch(1);
+    engine.measureBatchOutcome(std::span<const Assignment>(&a, 1),
+                               batch);
+    EXPECT_EQ(batch[0].status, core::MeasureStatus::TimedOut);
+    EXPECT_EQ(engine.timeoutCount(), 2u);
+
     // The abandoned thread exits once released, and later runs on
     // the same engine measure normally.
     options.testHangRelease->store(true,
@@ -95,12 +104,12 @@ TEST(PinnedExecutor, WatchdogReapsAWedgedStage)
     const core::MeasurementOutcome next = engine.measureOutcome(a);
     ASSERT_TRUE(next.ok());
     EXPECT_GT(next.value, 0.0);
-    EXPECT_EQ(engine.timeoutCount(), 1u);
+    EXPECT_EQ(engine.timeoutCount(), 2u);
 
     core::EngineStats stats;
     engine.collectStats(stats);
-    EXPECT_EQ(stats.failures, 1u);
-    EXPECT_NEAR(stats.modeledSeconds, 0.150, 1e-9);
+    EXPECT_EQ(stats.failures, 2u);
+    EXPECT_NEAR(stats.modeledSeconds, 0.300, 1e-9);
 }
 
 TEST(PinnedExecutor, WatchdogDisabledKeepsLegacyJoin)
