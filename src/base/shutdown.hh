@@ -12,9 +12,9 @@
  * script interruption deterministically without touching signals.
  *
  * Handlers are installed with sigaction() and deliberately WITHOUT
- * SA_RESTART: a coordinator blocked in a pipe read on a shard worker
- * (core/sharded_engine.hh) must observe Ctrl-C as an EINTR return
- * from the read, not sleep through it until the worker happens to
+ * SA_RESTART: a process blocked in a read (say, on a child's pipe
+ * through base::Subprocess) must observe Ctrl-C as an EINTR return
+ * from the read, not sleep through it until the other end happens to
  * produce bytes. Every blocking syscall in the process therefore has
  * explicit EINTR semantics: base::Subprocess reads report
  * ReadStatus::Interrupted and their callers re-check
@@ -91,8 +91,8 @@ resetShutdown()
 /**
  * Routes SIGINT and SIGTERM to the shutdown flag via sigaction(),
  * explicitly WITHOUT SA_RESTART: blocking reads return EINTR when a
- * shutdown signal lands, so a coordinator waiting on a silent shard
- * worker reacts to Ctrl-C immediately. Call once from the driver
+ * shutdown signal lands, so a process waiting on a silent pipe
+ * reacts to Ctrl-C immediately. Call once from the driver
  * before starting a campaign. The second signal of the same kind
  * hard-exits (see file comment); a mixed pair (SIGINT then SIGTERM)
  * keeps draining until either kind repeats.

@@ -3,9 +3,9 @@
  * The sanctioned child-process wrapper.
  *
  * Subprocess owns the raw POSIX process plumbing — fork/execvp, the
- * stdin/stdout pipe pair, non-blocking polled reads, SIGKILL and
- * waitpid — behind an interface the rest of the tree can use without
- * touching those calls directly. The statsched-no-raw-process lint
+ * stdout pipe, polled reads, signals and waitpid — behind an
+ * interface the rest of the tree can use without touching those calls
+ * directly. The statsched-no-raw-process lint
  * rule enforces the boundary: this header is the only place outside
  * NOLINT suppressions where the raw calls may appear, so process
  * lifecycle bugs (leaked fds, unreaped zombies, missed EINTR) have
@@ -14,11 +14,8 @@
  * EINTR discipline (the reason src/base/shutdown.hh installs its
  * handlers without SA_RESTART): read() returns ReadStatus::Interrupted
  * when a signal lands mid-wait instead of silently retrying, so a
- * caller blocked on a silent worker observes Ctrl-C deterministically
+ * caller blocked on a silent child observes Ctrl-C deterministically
  * and can re-check base::shutdownRequested() before waiting again.
- * writeAll() retries EINTR internally — a partial frame write is never
- * useful to abandon — and reports EPIPE as failure instead of letting
- * SIGPIPE kill the process.
  *
  * The wrapper is header-only because src/base is a header-only
  * library; everything here is thin glue over the syscalls.
@@ -45,10 +42,11 @@ namespace base
 {
 
 /**
- * One spawned child process with piped stdin/stdout (stderr is
- * inherited, so worker diagnostics reach the operator's terminal).
- * Movable, not copyable; the destructor SIGKILLs and reaps anything
- * still running so a coordinator can never leak workers.
+ * One spawned child process with its stdout on a pipe, its stdin on
+ * /dev/null and its stderr inherited (so diagnostics reach the
+ * operator's terminal). Movable, not copyable; the destructor
+ * SIGKILLs and reaps anything still running so a parent can never
+ * leak children.
  */
 class Subprocess
 {
@@ -95,7 +93,7 @@ class Subprocess
 
     /**
      * Forks and execs `argv` (argv[0] resolved through PATH) with
-     * this object's pipes as the child's stdin/stdout.
+     * this object's pipe as the child's stdout.
      *
      * @param argv  Program and arguments; must be non-empty.
      * @param error Receives a description on failure.
@@ -112,26 +110,13 @@ class Subprocess
             error = "empty argv";
             return false;
         }
-        // Writing into a pipe whose reader died must surface as an
-        // EPIPE error from write(), not a process-killing SIGPIPE.
-        std::signal(SIGPIPE, SIG_IGN);
-
-        int toChild[2] = {-1, -1};
         int fromChild[2] = {-1, -1};
-        if (::pipe(toChild) != 0) {
-            error = "pipe() failed";
-            return false;
-        }
         if (::pipe(fromChild) != 0) {
-            ::close(toChild[0]);
-            ::close(toChild[1]);
             error = "pipe() failed";
             return false;
         }
-        // The parent ends must not leak into other children: a
-        // sibling worker holding a copy of this worker's stdin write
-        // end would keep its stdin open forever after we close ours.
-        ::fcntl(toChild[1], F_SETFD, FD_CLOEXEC);
+        // The parent's read end must not leak into children spawned
+        // later.
         ::fcntl(fromChild[0], F_SETFD, FD_CLOEXEC);
 
         std::vector<char *> cargv;
@@ -142,28 +127,26 @@ class Subprocess
 
         const pid_t pid = ::fork();
         if (pid < 0) {
-            ::close(toChild[0]);
-            ::close(toChild[1]);
             ::close(fromChild[0]);
             ::close(fromChild[1]);
             error = "fork() failed";
             return false;
         }
         if (pid == 0) {
-            // Child: wire the pipe ends to stdin/stdout and exec.
-            ::dup2(toChild[0], STDIN_FILENO);
+            // Child: stdin from /dev/null, stdout into the pipe, exec.
+            const int devNull = ::open("/dev/null", O_RDONLY);
+            if (devNull >= 0) {
+                ::dup2(devNull, STDIN_FILENO);
+                ::close(devNull);
+            }
             ::dup2(fromChild[1], STDOUT_FILENO);
-            ::close(toChild[0]);
-            ::close(toChild[1]);
             ::close(fromChild[0]);
             ::close(fromChild[1]);
             ::execvp(cargv[0], cargv.data());
             _exit(127); // exec failed; 127 is the shell convention
         }
-        ::close(toChild[0]);
         ::close(fromChild[1]);
         pid_ = pid;
-        stdinFd_ = toChild[1];
         stdoutFd_ = fromChild[0];
         exitStatus_ = -1;
         reaped_ = false;
@@ -175,82 +158,6 @@ class Subprocess
 
     /** @return the child pid, or -1 when none. */
     pid_t pid() const { return pid_; }
-
-    /**
-     * Writes all `size` bytes to the child's stdin, retrying EINTR
-     * and short writes. @return false on any pipe error (EPIPE when
-     * the child died).
-     */
-    bool
-    writeAll(const void *data, std::size_t size)
-    {
-        if (stdinFd_ < 0)
-            return false;
-        const char *p = static_cast<const char *>(data);
-        while (size > 0) {
-            const ssize_t n = ::write(stdinFd_, p, size);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return false;
-            }
-            p += n;
-            size -= static_cast<std::size_t>(n);
-        }
-        return true;
-    }
-
-    /**
-     * Bounded variant of writeAll(): writes all `size` bytes, but
-     * gives up when the pipe accepts no byte for `stallTimeoutMs`
-     * milliseconds. A SIGSTOPped or wedged child stops draining its
-     * stdin; once the pipe buffer fills, the unbounded writeAll()
-     * blocks the parent forever — the one hole a receive deadline
-     * cannot cover. The budget is per-progress (it resets whenever
-     * a byte lands), so a slow-but-live reader is never failed.
-     *
-     * The fd is switched to O_NONBLOCK for the duration and restored
-     * after: poll(POLLOUT) on a pipe only promises room for SOME
-     * bytes, so a blocking write() past that room would re-wedge.
-     *
-     * @return false on timeout or any pipe error.
-     */
-    bool
-    writeAll(const void *data, std::size_t size, int stallTimeoutMs)
-    {
-        if (stdinFd_ < 0)
-            return false;
-        const int flags = ::fcntl(stdinFd_, F_GETFL);
-        if (flags < 0)
-            return false;
-        ::fcntl(stdinFd_, F_SETFL, flags | O_NONBLOCK);
-        const char *p = static_cast<const char *>(data);
-        bool ok = true;
-        while (size > 0) {
-            struct pollfd pfd = {};
-            pfd.fd = stdinFd_;
-            pfd.events = POLLOUT;
-            const int ready = ::poll(&pfd, 1, stallTimeoutMs);
-            if (ready < 0 && errno == EINTR)
-                continue;
-            if (ready <= 0) {
-                ok = false; // stalled out (or poll error)
-                break;
-            }
-            const ssize_t n = ::write(stdinFd_, p, size);
-            if (n < 0) {
-                if (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK)
-                    continue;
-                ok = false;
-                break;
-            }
-            p += n;
-            size -= static_cast<std::size_t>(n);
-        }
-        ::fcntl(stdinFd_, F_SETFL, flags);
-        return ok;
-    }
 
     /**
      * Reads up to `capacity` bytes from the child's stdout, waiting
@@ -286,16 +193,6 @@ class Subprocess
         return {ReadStatus::Data, static_cast<std::size_t>(n)};
     }
 
-    /** Closes the child's stdin (EOF to a well-behaved worker). */
-    void
-    closeStdin()
-    {
-        if (stdinFd_ >= 0) {
-            ::close(stdinFd_);
-            stdinFd_ = -1;
-        }
-    }
-
     /** SIGKILLs the child (no-op when not running). */
     void
     kill()
@@ -305,7 +202,7 @@ class Subprocess
     }
 
     /** Sends `sig` to the child without reaping it — the chaos
-     *  harness uses this for SIGTERM/SIGSTOP/SIGCONT injection.
+     *  harness uses this for SIGTERM injection.
      *  @return false when there is no live child or kill failed. */
     bool
     signalChild(int sig)
@@ -340,7 +237,6 @@ class Subprocess
                                           : -1;
             }
             reaped_ = true;
-            closeStdin();
             if (stdoutFd_ >= 0) {
                 ::close(stdoutFd_);
                 stdoutFd_ = -1;
@@ -354,18 +250,15 @@ class Subprocess
     moveFrom(Subprocess &other)
     {
         pid_ = other.pid_;
-        stdinFd_ = other.stdinFd_;
         stdoutFd_ = other.stdoutFd_;
         exitStatus_ = other.exitStatus_;
         reaped_ = other.reaped_;
         other.pid_ = -1;
-        other.stdinFd_ = -1;
         other.stdoutFd_ = -1;
         other.reaped_ = true;
     }
 
     pid_t pid_ = -1;
-    int stdinFd_ = -1;
     int stdoutFd_ = -1;
     int exitStatus_ = -1;
     bool reaped_ = true;

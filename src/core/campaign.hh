@@ -84,7 +84,7 @@ struct CampaignOptions
      *  and the chaos harness inject fault-injecting factories. */
     base::io::SinkFactory journalSinkFactory;
 
-    /** Health aggregate receiving journal/shard/estimator
+    /** Health aggregate receiving journal/estimator
      *  transitions; optional, not owned. */
     Health *health = nullptr;
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "base/check.hh"
@@ -40,19 +39,6 @@ assignmentHash(const Assignment &assignment)
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-/** Flips the low 24 mantissa bits of an Ok reading. */
-MeasurementOutcome
-corrupt(MeasurementOutcome outcome)
-{
-    if (!outcome.ok())
-        return outcome;
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &outcome.value, sizeof bits);
-    bits ^= 0xffffffULL;
-    std::memcpy(&outcome.value, &bits, sizeof bits);
-    return outcome;
 }
 
 } // anonymous namespace
@@ -192,26 +178,6 @@ FaultInjectingEngine::collectStats(EngineStats &stats) const
         std::max(0.0, options_.hangSeconds -
                           inner_.secondsPerMeasurement());
     inner_.collectStats(stats);
-}
-
-void
-ByzantineEngine::measureBatchOutcome(std::span<const Assignment> batch,
-                                     std::span<MeasurementOutcome> out)
-{
-    inner_.measureBatchOutcome(batch, out);
-    for (MeasurementOutcome &outcome : out)
-        outcome = corrupt(outcome);
-}
-
-OutcomeKernel
-ByzantineEngine::outcomeKernel(std::size_t batchSize)
-{
-    OutcomeKernel kernel = inner_.outcomeKernel(batchSize);
-    if (!kernel)
-        return {};
-    return [kernel](const Assignment &a, std::size_t i) {
-        return corrupt(kernel(a, i));
-    };
 }
 
 } // namespace core

@@ -140,47 +140,6 @@ class FaultInjectingEngine : public OutcomeEngine
     std::atomic<std::uint64_t> outliers_{0};
 };
 
-/**
- * Byzantine decorator: measures honestly through the wrapped engine,
- * then flips the low 24 mantissa bits of every Ok outcome. The value
- * stays finite, plausible and deterministic — indistinguishable from
- * an honest reading without a second opinion, which is what
- * core::ShardedEngine's audit duplication provides. Failed outcomes
- * pass through unchanged.
- */
-class ByzantineEngine : public OutcomeEngine
-{
-  public:
-    /** @param inner Engine to wrap; not owned. */
-    explicit ByzantineEngine(PerformanceEngine &inner) : inner_(inner)
-    {
-    }
-
-    void measureBatchOutcome(
-        std::span<const Assignment> batch,
-        std::span<MeasurementOutcome> out) override;
-
-    /** Corrupts the wrapped engine's kernel items the same way. */
-    OutcomeKernel outcomeKernel(std::size_t batchSize) override;
-
-    std::string name() const override { return inner_.name(); }
-
-    double
-    secondsPerMeasurement() const override
-    {
-        return inner_.secondsPerMeasurement();
-    }
-
-    void
-    collectStats(EngineStats &stats) const override
-    {
-        inner_.collectStats(stats);
-    }
-
-  private:
-    PerformanceEngine &inner_;
-};
-
 } // namespace core
 } // namespace statsched
 

@@ -2,11 +2,10 @@
  * @file
  * Unified campaign health aggregate.
  *
- * A long campaign survives three distinct failure domains — the
- * estimator can lose statistical validity (EstimateStatus), the
- * journal can lose its medium (JournalErrorPolicy::Degrade), and
- * shard backends can be lost or convicted of returning garbage —
- * and each layer already tracks its own state. Health is the one
+ * A long campaign survives two distinct failure domains — the
+ * estimator can lose statistical validity (EstimateStatus) and the
+ * journal can lose its medium (JournalErrorPolicy::Degrade) — and
+ * each layer already tracks its own state. Health is the one
  * place those states meet: a per-component {Ok, Degraded, Failing}
  * level with a latched worst() summary, so the CLI can print a
  * single truthful answer to "did this campaign complete cleanly?"
@@ -14,7 +13,7 @@
  * did not.
  *
  * Components are registered lazily by their first transition; the
- * conventional names are "journal", "shards" and "estimator". The
+ * conventional names are "journal" and "estimator". The
  * listener (if any) fires on every level CHANGE — not on repeated
  * reports of the same level — outside the internal lock, so it may
  * freely log or call back into Health.
@@ -59,8 +58,7 @@ struct HealthTransition
 
 /**
  * Thread-safe per-component health registry. Transitions may arrive
- * from any thread (the sharded engine reports under its own lock);
- * reads take a consistent snapshot.
+ * from any thread; reads take a consistent snapshot.
  */
 class Health
 {

@@ -278,7 +278,10 @@ scanSegment(const std::vector<std::uint8_t> &bytes)
             openGroup = JournalBatch();
             openGroup.round = r.u32();
             openRemaining = r.u32();
-            groupOpen = true;
+            // The writer never opens an empty group; one would commit
+            // at once and replay as a zero-size batch.
+            parsed = openRemaining != 0;
+            groupOpen = parsed;
             break;
           }
           case kRecordMeasurement: {
@@ -885,11 +888,8 @@ JournalingEngine::serveReplayedBatch(
     // Fast-forward the inner engines' per-measurement index cursors
     // (the reservation contract in performance_engine.hh): after the
     // queue drains, fresh measurements continue the noise and fault
-    // streams exactly where the original run left them. This also
-    // keeps a ShardedEngine below in lock-step — its global cursor
-    // advances here and its workers lazily fast-forward on their next
-    // request, so a sharded campaign resumes bit-identically under
-    // any shard count.
+    // streams exactly where the original run left them, so a resumed
+    // campaign is bit-identical under any thread count.
     inner_.reserveMeasurementIndices(batch.size());
 
     for (std::size_t i = 0; i < batch.size(); ++i)

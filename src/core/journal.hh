@@ -83,8 +83,8 @@
  *   Checkpoint   (type 3) := kind:u8 round:u32 attempted:u64
  *                            sampled:u64 bestBits:u64
  *
- * A batch group is one BatchBegin followed by exactly `count`
- * Measurement records; Checkpoint records sit between groups.
+ * A batch group is one BatchBegin with count >= 1 followed by exactly
+ * `count` Measurement records; Checkpoint records sit between groups.
  */
 
 #ifndef STATSCHED_CORE_JOURNAL_HH

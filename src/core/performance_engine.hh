@@ -48,12 +48,11 @@
  *
  * Sanctioned decorator ordering (outermost first):
  *
- *   Metered(Memoizing(Resilient(Sharded?(Parallel(FaultInjecting(inner))))))
+ *   Metered(Memoizing(Resilient(Parallel(FaultInjecting(inner)))))
  *
- * with any subset of the middle layers present (core::ShardedEngine
- * fans batches out to worker processes; when journaling, the journal
- * sits directly above it — see core/journal.hh). The stats contract
- * depends on two ordering rules:
+ * with any subset of the middle layers present (when journaling, the
+ * journal sits directly above Parallel — see core/journal.hh). The
+ * stats contract depends on two ordering rules:
  *
  *  - MeteredEngine sits ABOVE MemoizingEngine. The meter charges
  *    secondsPerMeasurement() for every *requested* measurement and
@@ -220,30 +219,6 @@ struct EngineStats
     /** Measurements that had to heap-allocate a workspace because
      *  the pool was exhausted. */
     std::uint64_t scratchFallbacks = 0;
-    /** Measurements served by remote shard workers
-     *  (core::ShardedEngine). */
-    std::uint64_t shardedMeasurements = 0;
-    /** Shard failure events: workers that died, hung past their
-     *  deadline, or corrupted the protocol. */
-    std::uint64_t shardFailures = 0;
-    /** Measurements re-issued to another shard (or in-process) after
-     *  their original shard failed. */
-    std::uint64_t shardReissues = 0;
-    /** Replacement shard workers spawned after a failure. */
-    std::uint64_t shardRespawns = 0;
-    /** Shard slots quarantined for repeated failure (no further
-     *  respawn attempts). */
-    std::uint64_t shardsQuarantined = 0;
-    /** Batches measured (fully or partly) by the in-process engine
-     *  because no shard could serve them. */
-    std::uint64_t shardDegradedBatches = 0;
-    /** Measurements duplicated to a second backend for auditing. */
-    std::uint64_t shardAudits = 0;
-    /** Audit duplicates whose value bits disagreed with the
-     *  primary result. */
-    std::uint64_t shardAuditMismatches = 0;
-    /** Shard slots convicted of value corruption by arbitration. */
-    std::uint64_t shardConvictions = 0;
 
     /** @return mean fixed-point iterations per solve, or 0. */
     double
@@ -374,14 +349,13 @@ class PerformanceEngine
      * (noise cursor, fault cursor) stands exactly `count` indices
      * further, as if a batch of that size had been measured.
      *
-     * This is how replay-style decorators (core::JournalingEngine,
-     * core::ShardedEngine) fast-forward the stack below them past
-     * measurements that were already performed elsewhere. The default
-     * requests and discards an outcome kernel, which reserves the
-     * indices per the outcomeKernel() contract; engines without
-     * kernels keep no per-index state, so the discarded empty kernel
-     * is the correct no-op. Engines that track indices without
-     * publishing kernels must override.
+     * This is how core::JournalingEngine fast-forwards the stack
+     * below it past measurements that a journal replay already
+     * served. The default requests and discards an outcome kernel,
+     * which reserves the indices per the outcomeKernel() contract;
+     * engines without kernels keep no per-index state, so the
+     * discarded empty kernel is the correct no-op. Engines that track
+     * indices without publishing kernels must override.
      */
     virtual void
     reserveMeasurementIndices(std::size_t count)

@@ -5,6 +5,7 @@
 
 #include "core/sampler.hh"
 
+#include <limits>
 #include <numeric>
 #include "base/check.hh"
 
@@ -12,6 +13,28 @@ namespace statsched
 {
 namespace core
 {
+
+double
+expectedRejectionAttempts(const Topology &topology, std::uint32_t tasks)
+{
+    const std::uint32_t v = topology.contexts();
+    if (tasks > v)
+        return std::numeric_limits<double>::infinity();
+    // V^T (V-T)! / V! = prod_{i<T} V / (V - i).
+    double expected = 1.0;
+    for (std::uint32_t i = 0; i < tasks; ++i)
+        expected *= static_cast<double>(v) / static_cast<double>(v - i);
+    return expected;
+}
+
+SamplingMethod
+defaultSamplingMethod(const Topology &topology, std::uint32_t tasks)
+{
+    return expectedRejectionAttempts(topology, tasks) <=
+            kMaxExpectedRejectionAttempts
+        ? SamplingMethod::RejectionPaper
+        : SamplingMethod::PartialFisherYates;
+}
 
 RandomAssignmentSampler::RandomAssignmentSampler(
     const Topology &topology, std::uint32_t tasks, std::uint64_t seed,

@@ -21,7 +21,15 @@
  * uniformly random ordered T-subset of contexts directly in O(T);
  * conditioning iid uniforms on distinctness yields exactly the
  * uniform distribution over ordered distinct tuples, so the two
- * methods sample the *same* distribution.
+ * methods sample the *same* distribution (through different random
+ * streams).
+ *
+ * The default method depends on the shape alone: the paper's loop
+ * while its expected attempts per draw, V^T·(V-T)!/V!, stay at most
+ * kMaxExpectedRejectionAttempts (T <= 31 on the 64-context T2), and
+ * the partial shuffle above that. A campaign's topology and task
+ * count therefore fix its draw stream, and the 6- and 24-task streams
+ * are those of the paper's procedure.
  */
 
 #ifndef STATSCHED_CORE_SAMPLER_HH
@@ -45,6 +53,25 @@ enum class SamplingMethod
     PartialFisherYates   //!< O(T) partial shuffle
 };
 
+/** Largest expected attempts per draw at which the default method is
+ *  still the paper's rejection loop. */
+inline constexpr double kMaxExpectedRejectionAttempts = 1e4;
+
+/**
+ * @return V^T·(V-T)!/V!, the expected attempts per accepted draw of
+ *         the rejection loop for `tasks` of `topology`'s V contexts
+ *         (infinite when tasks > V).
+ */
+double expectedRejectionAttempts(const Topology &topology,
+                                 std::uint32_t tasks);
+
+/**
+ * @return RejectionPaper while expectedRejectionAttempts() is at most
+ *         kMaxExpectedRejectionAttempts, PartialFisherYates otherwise.
+ */
+SamplingMethod defaultSamplingMethod(const Topology &topology,
+                                     std::uint32_t tasks);
+
 /**
  * Draws iid uniform random task assignments.
  */
@@ -55,14 +82,19 @@ class RandomAssignmentSampler
      * @param topology Target processor shape.
      * @param tasks    Workload size; 1 <= tasks <= contexts().
      * @param seed     RNG seed (deterministic streams).
-     * @param method   Generation method; defaults to the paper's
-     *                 rejection loop, which is practical while the
-     *                 workload uses at most ~2/3 of the contexts.
+     * @param method   Generation method; the three-argument form
+     *                 uses defaultSamplingMethod(topology, tasks).
      */
-    RandomAssignmentSampler(
-        const Topology &topology, std::uint32_t tasks,
-        std::uint64_t seed,
-        SamplingMethod method = SamplingMethod::RejectionPaper);
+    RandomAssignmentSampler(const Topology &topology,
+                            std::uint32_t tasks, std::uint64_t seed,
+                            SamplingMethod method);
+
+    RandomAssignmentSampler(const Topology &topology,
+                            std::uint32_t tasks, std::uint64_t seed)
+        : RandomAssignmentSampler(topology, tasks, seed,
+                                  defaultSamplingMethod(topology, tasks))
+    {
+    }
 
     /** @return one iid random assignment. */
     Assignment draw();

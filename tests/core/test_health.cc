@@ -73,28 +73,28 @@ TEST(Health, WorstIsTheMaximumAcrossComponents)
     health.transition("journal", HealthLevel::Degraded, "d");
     EXPECT_EQ(health.worst(), HealthLevel::Degraded);
 
-    health.transition("shards", HealthLevel::Failing, "f");
+    health.transition("engine", HealthLevel::Failing, "f");
     EXPECT_EQ(health.worst(), HealthLevel::Failing);
 
     // One component recovering does not mask another's state.
-    health.transition("shards", HealthLevel::Ok, "respawned");
+    health.transition("engine", HealthLevel::Ok, "respawned");
     EXPECT_EQ(health.worst(), HealthLevel::Degraded);
     EXPECT_EQ(health.level("journal"), HealthLevel::Degraded);
-    EXPECT_EQ(health.level("shards"), HealthLevel::Ok);
+    EXPECT_EQ(health.level("engine"), HealthLevel::Ok);
 }
 
 TEST(Health, SnapshotKeepsFirstTransitionOrderAndLastDetail)
 {
     Health health;
-    health.transition("shards", HealthLevel::Degraded, "slot lost");
+    health.transition("engine", HealthLevel::Degraded, "slot lost");
     health.transition("journal", HealthLevel::Degraded, "disk full");
     health.transition("estimator", HealthLevel::Ok, "fine");
-    health.transition("shards", HealthLevel::Failing,
+    health.transition("engine", HealthLevel::Failing,
                       "all quarantined");
 
     const std::vector<Health::Component> all = health.components();
     ASSERT_EQ(all.size(), 3u);
-    EXPECT_EQ(all[0].name, "shards");
+    EXPECT_EQ(all[0].name, "engine");
     EXPECT_EQ(all[0].level, HealthLevel::Failing);
     EXPECT_EQ(all[0].detail, "all quarantined");
     EXPECT_EQ(all[1].name, "journal");

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 
@@ -151,6 +152,56 @@ TEST(Sampler, FisherYatesHandlesFullMachine)
                                     SamplingMethod::PartialFisherYates);
     const Assignment a = sampler.draw();
     EXPECT_TRUE(Assignment::isValid(t2, a.contexts()));
+}
+
+TEST(Sampler, DefaultMethodFollowsExpectedRejectionAttempts)
+{
+    // Expected attempts per draw, V^T (V-T)! / V!: 1 for one task,
+    // ~143 at the paper's 24 of 64, and past 1e4 from 32 tasks on.
+    EXPECT_DOUBLE_EQ(expectedRejectionAttempts(t2, 1), 1.0);
+    EXPECT_NEAR(expectedRejectionAttempts(t2, 24), 143.4, 0.1);
+    EXPECT_LE(expectedRejectionAttempts(t2, 31),
+              kMaxExpectedRejectionAttempts);
+    EXPECT_GT(expectedRejectionAttempts(t2, 32),
+              kMaxExpectedRejectionAttempts);
+    EXPECT_TRUE(std::isinf(expectedRejectionAttempts(t2, 65)));
+
+    for (const std::uint32_t tasks : {1u, 6u, 24u, 31u})
+        EXPECT_EQ(defaultSamplingMethod(t2, tasks),
+                  SamplingMethod::RejectionPaper)
+            << tasks;
+    for (const std::uint32_t tasks : {32u, 48u, 64u})
+        EXPECT_EQ(defaultSamplingMethod(t2, tasks),
+                  SamplingMethod::PartialFisherYates)
+            << tasks;
+    // The tiny machine's full load is still cheap to reject: 4^4/4!.
+    const Topology tiny{2, 1, 2};
+    EXPECT_EQ(defaultSamplingMethod(tiny, 4),
+              SamplingMethod::RejectionPaper);
+}
+
+TEST(Sampler, DefaultKeepsThePaperStreamAtPaperShapes)
+{
+    for (const std::uint32_t tasks : {6u, 24u}) {
+        RandomAssignmentSampler byDefault(t2, tasks, 77);
+        RandomAssignmentSampler paper(t2, tasks, 77,
+                                      SamplingMethod::RejectionPaper);
+        EXPECT_EQ(byDefault.method(), SamplingMethod::RejectionPaper);
+        for (int i = 0; i < 50; ++i)
+            ASSERT_EQ(byDefault.draw().contexts(),
+                      paper.draw().contexts());
+        EXPECT_EQ(byDefault.attempts(), paper.attempts());
+    }
+}
+
+TEST(Sampler, DefaultDrawsFortyEightTasksInOneAttemptEach)
+{
+    // The rejection loop would need ~8e10 attempts per draw here.
+    RandomAssignmentSampler sampler(t2, 48, 5);
+    EXPECT_EQ(sampler.method(), SamplingMethod::PartialFisherYates);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_TRUE(Assignment::isValid(t2, sampler.draw().contexts()));
+    EXPECT_EQ(sampler.attempts(), 100u);
 }
 
 } // anonymous namespace

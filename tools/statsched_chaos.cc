@@ -2,17 +2,16 @@
  * @file
  * statsched_chaos — environment-hostility orchestrator.
  *
- * The robustness claims of the measurement stack (journal recovery,
- * shard re-issue, Byzantine conviction, graceful drain) are easy to
- * state and easy to silently regress, because none of the unit tests
- * exercise real processes dying at real syscall boundaries. This tool
- * closes that gap: it runs full statsched_cli campaigns as
- * subprocesses, injects one calamity per scenario — SIGKILL mid-
- * campaign, SIGSTOP of a shard worker, a disk that fills mid-journal,
- * a worker that lies about its values — and asserts the one property
- * every layer promises: the final stdout report is byte-identical to
- * the undisturbed run, and the exit code tells the truth about how
- * the campaign got there (0/3 clean, 7 completed degraded).
+ * The robustness claims of the campaign runtime (journal recovery,
+ * graceful degradation) are easy to state and easy to silently
+ * regress, because none of the unit tests exercise real processes
+ * dying at real syscall boundaries. This tool closes that gap: it
+ * runs full statsched_cli campaigns as subprocesses, injects one
+ * calamity per scenario — SIGKILL mid-campaign, SIGTERM, a disk
+ * that fills mid-journal — and asserts what every layer promises: the
+ * final stdout report is byte-identical to the undisturbed run, and
+ * the exit code tells the truth about how the campaign got there
+ * (0/3 clean, 5 interrupted, 7 completed degraded).
  *
  * Scenarios (one per ctest entry, label "chaos"):
  *
@@ -21,23 +20,17 @@
  *                  "health: journal" transition, abort policy exits 2,
  *                  and a resume against the latched journal finishes
  *                  clean.
- *   garbage-shard  one of two shard workers corrupts every value;
- *                  audit duplication convicts it, the run stays
- *                  bit-identical, exit 7, "health: shards".
- *   kill-resume    SIGKILL the coordinator mid-campaign (exit 137),
- *                  resume from the torn journal, same final report.
- *   stop-hang      SIGSTOP one shard worker; the request deadline
- *                  declares it hung, work is re-issued, the campaign
- *                  completes bit-identically.
- *   term-drain     SIGTERM an idle worker directly; it drains and
- *                  exits 0 instead of dying mid-protocol.
+ *   kill-resume    SIGKILL the campaign mid-run (exit 137), resume
+ *                  from the torn journal, same final report.
+ *   term-checkpoint
+ *                  one SIGTERM to a 48-task campaign (a shape the
+ *                  rejection sampler cannot draw) exits 5 within a
+ *                  bound and leaves an Aborted checkpoint.
  *   all            every scenario above, in order.
  *
  * Children are spawned through base::Subprocess (via `/bin/sh -c
  * "exec ..."` so stderr can be captured to a file while stdout stays
- * on the pipe for the bit-identity diff). Raw ::kill appears here for
- * SIGSTOP of a scanned /proc pid — the worker is a grandchild, so
- * Subprocess::signalChild cannot reach it.
+ * on the pipe for the bit-identity diff).
  *
  * Exit codes: 0 all expectations held, 1 at least one failed,
  * 2 usage error.
@@ -49,18 +42,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include <dirent.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 #include <time.h>
 
 #include "base/cli.hh"
 #include "base/io.hh"
 #include "base/subprocess.hh"
+#include "core/journal.hh"
 
 namespace
 {
@@ -150,8 +141,6 @@ class CliProcess
         return child_.spawn({"/bin/sh", "-c", cmd}, error);
     }
 
-    pid_t pid() const { return child_.pid(); }
-
     base::Subprocess &proc() { return child_; }
 
     /** Drains stdout into `out` until EOF, then reaps.
@@ -192,7 +181,6 @@ struct RunResult
 struct Context
 {
     std::string cli;
-    std::string worker;
     std::string workdir;
     int failures = 0;
 
@@ -262,47 +250,6 @@ withArgs(std::vector<std::string> base,
     return base;
 }
 
-/** @return pids of live statsched_worker processes whose parent is
- *  `parent`, scanned from /proc (the workers are grandchildren of
- *  this tool, so Subprocess cannot name them). */
-std::vector<pid_t>
-workerChildrenOf(pid_t parent)
-{
-    std::vector<pid_t> pids;
-    DIR *dir = ::opendir("/proc");
-    if (dir == nullptr)
-        return pids;
-    while (struct dirent *entry = ::readdir(dir)) {
-        const char *name = entry->d_name;
-        if (name[0] < '0' || name[0] > '9')
-            continue;
-        const std::string stat =
-            readWholeFile(std::string("/proc/") + name + "/stat");
-        // Format: pid (comm) state ppid ... — comm may itself
-        // contain parentheses, so parse from the LAST ')'.
-        const std::size_t open = stat.find('(');
-        const std::size_t close = stat.rfind(')');
-        if (open == std::string::npos || close == std::string::npos ||
-            close < open)
-            continue;
-        const std::string comm =
-            stat.substr(open + 1, close - open - 1);
-        // /proc truncates comm to 15 characters.
-        if (comm.rfind("statsched_work", 0) != 0)
-            continue;
-        int ppid = -1;
-        char state = '?';
-        if (std::sscanf(stat.c_str() + close + 1, " %c %d", &state,
-                        &ppid) != 2)
-            continue;
-        if (ppid == parent)
-            pids.push_back(
-                static_cast<pid_t>(std::atol(name)));
-    }
-    ::closedir(dir);
-    return pids;
-}
-
 // --- scenarios ------------------------------------------------------
 
 /**
@@ -362,39 +309,6 @@ scenarioDiskFull(Context &ctx)
         ctx.path("abort.err"));
     ctx.expect(aborted.exitCode == 2,
                "disk-full under abort policy exits 2");
-}
-
-/**
- * One of two shard workers computes honestly, then corrupts every
- * value's bits before replying — valid frames, valid CRCs, wrong
- * VALUES. Audit duplication must convict it and the final report
- * must match the unsharded baseline bit for bit.
- */
-void
-scenarioGarbageShard(Context &ctx)
-{
-    std::fprintf(stderr, "chaos: --- garbage-shard ---\n");
-    const RunResult baseline =
-        runCli(ctx, fastCampaign(), ctx.path("baseline.err"));
-    ctx.expect(baseline.exitCode == 0, "baseline campaign exits 0");
-
-    const RunResult garbage = runCli(
-        ctx,
-        withArgs(fastCampaign(),
-                 {"--shards", "2", "--worker", ctx.worker,
-                  "--audit-fraction", "0.25", "--chaos-garbage-shard",
-                  "1"}),
-        ctx.path("garbage.err"));
-    ctx.expect(garbage.exitCode == 7,
-               "campaign with a Byzantine shard exits 7 "
-               "(completed degraded)");
-    ctx.expect(garbage.out == baseline.out,
-               "report with a convicted Byzantine shard is "
-               "byte-identical to the baseline");
-    const std::string garbageErr =
-        readWholeFile(ctx.path("garbage.err"));
-    ctx.expect(contains(garbageErr, "health: shards"),
-               "stderr reports the shards health transition");
 }
 
 /**
@@ -464,109 +378,55 @@ scenarioKillResume(Context &ctx)
 }
 
 /**
- * SIGSTOP freezes one shard worker without killing it — the nastiest
- * failure mode, because the process exists but never answers. The
- * coordinator's request deadline must declare it hung, re-issue its
- * work and finish bit-identically.
+ * One SIGTERM lands while a 48-task campaign (48 of the T2's 64
+ * contexts) is mid-flight. The campaign must drain at its next round
+ * boundary, exit 5 within a bound, and leave a journal whose last
+ * checkpoint records the abort.
  */
 void
-scenarioStopHang(Context &ctx)
+scenarioTermCheckpoint(Context &ctx)
 {
-    std::fprintf(stderr, "chaos: --- stop-hang ---\n");
-    const RunResult full =
-        runCli(ctx, longCampaign(), ctx.path("full.err"));
-    ctx.expect(full.exitCode == 3,
-               "uninterrupted long campaign exits 3 (sample cap)");
-
+    std::fprintf(stderr, "chaos: --- term-checkpoint ---\n");
+    const std::string journal = ctx.path("term.journal");
+    base::io::removeFile(journal);
+    std::vector<std::string> argv = {
+        ctx.cli,    "iterate", "--benchmark", "ipfwd-l1",
+        "--instances", "16",   "--loss",      "0.001",
+        "--max",    "200000",  "--threads",   "2",
+        "--journal", journal};
     CliProcess victim;
     std::string error;
-    std::vector<std::string> argv;
-    argv.push_back(ctx.cli);
-    for (const std::string &arg :
-         withArgs(longCampaign(),
-                  {"--shards", "2", "--worker", ctx.worker,
-                   "--shard-deadline-s", "2"}))
-        argv.push_back(arg);
-    if (!victim.start(argv, ctx.path("stopped.err"), error)) {
-        ctx.expect(false, "spawn sharded campaign: " + error);
+    if (!victim.start(argv, ctx.path("term.err"), error)) {
+        ctx.expect(false, "spawn 48-task campaign: " + error);
         return;
     }
-    // Find a live worker grandchild and freeze it. The worker is
-    // not our child, so raw ::kill is the only reach.
-    const std::int64_t deadline = nowMs() + 10000;
-    pid_t frozen = -1;
+    const std::int64_t deadline = nowMs() + 30000;
+    bool midFlight = false;
     while (nowMs() < deadline) {
-        const std::vector<pid_t> workers =
-            workerChildrenOf(victim.pid());
-        if (!workers.empty()) {
-            frozen = workers.front();
+        if (fileSize(journal) >= 65536) {
+            midFlight = true;
             break;
         }
         sleepMs(5);
     }
-    ctx.expect(frozen > 0, "found a shard worker to freeze");
-    if (frozen > 0)
-        ::kill(frozen, SIGSTOP);
+    ctx.expect(midFlight, "48-task journal grew past the signal "
+                          "threshold while the campaign ran");
+    const std::int64_t signalled = nowMs();
+    ctx.expect(victim.proc().signalChild(SIGTERM),
+               "SIGTERM delivered to the campaign");
     std::string out;
     const int exitCode = victim.finish(out);
-    ctx.expect(exitCode == 3,
-               "campaign with a frozen worker exits 3 (sample cap)");
-    ctx.expect(out == full.out,
-               "report with a frozen worker is byte-identical to "
-               "the unsharded run");
-    // The coordinator SIGKILLs the hung slot's process on teardown
-    // (SIGKILL acts on stopped processes), so nothing leaks; this
-    // just documents the expectation.
-    if (frozen > 0)
-        ::kill(frozen, SIGCONT);
-}
+    ctx.expect(exitCode == 5, "one SIGTERM exits 5 (interrupted)");
+    ctx.expect(nowMs() - signalled < 10000,
+               "the campaign stopped within 10 s of the signal");
 
-/**
- * SIGTERM to an idle worker: it must drain (no half-written frame)
- * and exit 0 — the shutdown path the coordinator relies on when the
- * operator Ctrl-C's a foreground campaign.
- */
-void
-scenarioTermDrain(Context &ctx)
-{
-    std::fprintf(stderr, "chaos: --- term-drain ---\n");
-    base::Subprocess worker;
-    std::string error;
-    if (!worker.spawn({ctx.worker, "--benchmark", "aho"}, error)) {
-        ctx.expect(false, "spawn worker: " + error);
-        return;
-    }
-    // Wait for the Hello so the signal lands on a serving, idle
-    // worker rather than one still constructing its engine.
-    char buffer[512];
-    bool hello = false;
-    const std::int64_t deadline = nowMs() + 10000;
-    while (nowMs() < deadline) {
-        const base::Subprocess::ReadResult r =
-            worker.read(buffer, sizeof buffer, 500);
-        if (r.status == base::Subprocess::ReadStatus::Data) {
-            hello = true;
-            break;
-        }
-        if (r.status == base::Subprocess::ReadStatus::Eof)
-            break;
-    }
-    ctx.expect(hello, "worker sent its Hello");
-    ctx.expect(worker.signalChild(SIGTERM),
-               "SIGTERM delivered to the worker");
-    // Drain to EOF; the worker owes nothing, so this is quick.
-    while (true) {
-        const base::Subprocess::ReadResult r =
-            worker.read(buffer, sizeof buffer, 1000);
-        if (r.status == base::Subprocess::ReadStatus::Data)
-            continue;
-        if (r.status == base::Subprocess::ReadStatus::Timeout ||
-            r.status == base::Subprocess::ReadStatus::Interrupted)
-            continue;
-        break; // Eof or Error: the worker is gone
-    }
-    ctx.expect(worker.wait() == 0,
-               "worker drained and exited 0 on SIGTERM");
+    const core::JournalRecovery recovery = core::recoverJournal(journal);
+    ctx.expect(recovery.error.empty() && !recovery.batches.empty(),
+               "the interrupted journal recovers with its batches");
+    ctx.expect(!recovery.checkpoints.empty() &&
+                   recovery.checkpoints.back().kind ==
+                       core::CheckpointKind::Aborted,
+               "the journal ends with an Aborted checkpoint");
 }
 
 } // anonymous namespace
@@ -576,13 +436,11 @@ main(int argc, char **argv)
 {
     base::OptionParser args;
     args.addOption("cli", "", "path to the statsched_cli binary");
-    args.addOption("worker", "",
-                   "path to the statsched_worker binary");
     args.addOption("workdir", "",
                    "scratch directory for journals and captures");
     args.addOption("scenario", "all",
-                   "disk-full | garbage-shard | kill-resume | "
-                   "stop-hang | term-drain | all");
+                   "disk-full | kill-resume | term-checkpoint | "
+                   "all");
     if (!args.parse(argc, argv, 1)) {
         std::fprintf(stderr, "statsched_chaos: %s\noptions:\n%s",
                      args.error().c_str(), args.usage().c_str());
@@ -591,13 +449,11 @@ main(int argc, char **argv)
 
     Context ctx;
     ctx.cli = args.get("cli");
-    ctx.worker = args.get("worker");
     ctx.workdir = args.get("workdir");
     const std::string scenario = args.get("scenario");
-    if (ctx.cli.empty() || ctx.worker.empty() ||
-        ctx.workdir.empty()) {
-        std::fprintf(stderr, "statsched_chaos: --cli, --worker and "
-                             "--workdir are required\n");
+    if (ctx.cli.empty() || ctx.workdir.empty()) {
+        std::fprintf(stderr, "statsched_chaos: --cli and --workdir "
+                             "are required\n");
         return 2;
     }
     if (::mkdir(ctx.workdir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -612,20 +468,12 @@ main(int argc, char **argv)
         scenarioDiskFull(ctx);
         known = true;
     }
-    if (scenario == "garbage-shard" || scenario == "all") {
-        scenarioGarbageShard(ctx);
-        known = true;
-    }
     if (scenario == "kill-resume" || scenario == "all") {
         scenarioKillResume(ctx);
         known = true;
     }
-    if (scenario == "stop-hang" || scenario == "all") {
-        scenarioStopHang(ctx);
-        known = true;
-    }
-    if (scenario == "term-drain" || scenario == "all") {
-        scenarioTermDrain(ctx);
+    if (scenario == "term-checkpoint" || scenario == "all") {
+        scenarioTermCheckpoint(ctx);
         known = true;
     }
     if (!known) {

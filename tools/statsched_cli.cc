@@ -17,7 +17,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,8 +35,6 @@
 #include "core/memoizing_engine.hh"
 #include "core/parallel_engine.hh"
 #include "core/resilient_engine.hh"
-#include "core/shard_protocol.hh"
-#include "core/sharded_engine.hh"
 #include "num/duration.hh"
 #include "sim/benchmarks.hh"
 #include "sim/engine.hh"
@@ -265,46 +262,6 @@ printEngineStats(std::FILE *out, const EngineStack &stack,
                      static_cast<unsigned long long>(stats.retries),
                      static_cast<unsigned long long>(
                          stats.quarantined));
-    }
-    if (stats.shardedMeasurements != 0 || stats.shardFailures != 0 ||
-        stats.shardReissues != 0 || stats.shardRespawns != 0 ||
-        stats.shardsQuarantined != 0 ||
-        stats.shardDegradedBatches != 0) {
-        std::fprintf(out,
-                     "shard workers:      %12llu measurements "
-                     "served remotely\n",
-                     static_cast<unsigned long long>(
-                         stats.shardedMeasurements));
-        std::fprintf(out,
-                     "shard health:       %12llu failures  "
-                     "(%llu re-issued, %llu respawned, "
-                     "%llu quarantined)\n",
-                     static_cast<unsigned long long>(
-                         stats.shardFailures),
-                     static_cast<unsigned long long>(
-                         stats.shardReissues),
-                     static_cast<unsigned long long>(
-                         stats.shardRespawns),
-                     static_cast<unsigned long long>(
-                         stats.shardsQuarantined));
-        if (stats.shardDegradedBatches != 0) {
-            std::fprintf(out,
-                         "shard degraded:     %12llu batches served "
-                         "in-process\n",
-                         static_cast<unsigned long long>(
-                             stats.shardDegradedBatches));
-        }
-    }
-    if (stats.shardAudits != 0) {
-        std::fprintf(out,
-                     "shard audits:       %12llu duplicated  "
-                     "(%llu mismatches, %llu convictions)\n",
-                     static_cast<unsigned long long>(
-                         stats.shardAudits),
-                     static_cast<unsigned long long>(
-                         stats.shardAuditMismatches),
-                     static_cast<unsigned long long>(
-                         stats.shardConvictions));
     }
     if (stats.solves != 0) {
         std::fprintf(out,
@@ -581,24 +538,11 @@ cmdIterate(int argc, char **argv)
     args.addOption("journal-fault-at", "0",
                    "chaos: fail journal writes after N bytes "
                    "(0 = off)");
-    args.addOption("audit-fraction", "0",
-                   "fraction of sharded measurements duplicated to a "
-                   "second worker for Byzantine auditing (0..1)");
-    args.addOption("chaos-garbage-shard", "-1",
-                   "chaos: give this shard slot a value-corrupting "
-                   "worker (-1 = none)");
     args.addOption("deadline-s", "0",
                    "wall-clock budget in seconds (0 = none)");
     args.addOption("max-measurements", "0",
                    "measurement budget (0 = none)");
     args.addOption("max-rounds", "0", "round budget (0 = none)");
-    args.addOption("shards", "0",
-                   "measurement worker processes (0 = in-process)");
-    args.addOption("shard-deadline-s", "30",
-                   "per-request worker deadline in seconds");
-    args.addOption("worker", "",
-                   "worker binary (default: statsched_worker next "
-                   "to this binary)");
     parseOrDie(args, "iterate", argc, argv);
 
     const double loss = args.getDouble("loss");
@@ -614,13 +558,6 @@ cmdIterate(int argc, char **argv)
     const long maxRounds = args.getInt("max-rounds");
     if (deadline < 0 || maxMeasurements < 0 || maxRounds < 0) {
         std::fprintf(stderr, "iterate: budgets must be >= 0\n");
-        return 2;
-    }
-    const long shards = args.getInt("shards");
-    const double shardDeadline = args.getDouble("shard-deadline-s");
-    if (shards < 0 || shardDeadline <= 0) {
-        std::fprintf(stderr, "iterate: '--shards' must be >= 0 and "
-                     "'--shard-deadline-s' positive\n");
         return 2;
     }
     const std::string onErrorName = args.get("journal-on-error");
@@ -641,19 +578,6 @@ cmdIterate(int argc, char **argv)
         std::fprintf(stderr, "iterate: journal sizes must be >= 0\n");
         return 2;
     }
-    const double auditFraction = args.getDouble("audit-fraction");
-    if (auditFraction < 0.0 || auditFraction > 1.0) {
-        std::fprintf(stderr, "iterate: '--audit-fraction' must be "
-                     "in [0, 1]\n");
-        return 2;
-    }
-    const long garbageShard = args.getInt("chaos-garbage-shard");
-    if (garbageShard >= shards) {
-        std::fprintf(stderr, "iterate: '--chaos-garbage-shard' must "
-                     "name a slot below '--shards'\n");
-        return 2;
-    }
-
     // The campaign runner owns the upper decorators (so its journal
     // can sit between them and the measurement substrate); the CLI
     // only builds Parallel(Fault?(Sim)).
@@ -676,7 +600,7 @@ cmdIterate(int argc, char **argv)
     campaign.resume = args.flag("resume");
     // Failure-domain knobs: operational only, deliberately OUT of the
     // campaign identity hash — a resumed run may change its error
-    // policy, segmentation or auditing without losing its journal.
+    // policy or segmentation without losing its journal.
     campaign.journalOnError = onError;
     campaign.journalSegmentBytes =
         static_cast<std::uint64_t>(segmentBytes);
@@ -732,78 +656,9 @@ cmdIterate(int argc, char **argv)
     });
     campaign.health = &health;
 
-    // --shards N fans measurement batches out to N statsched_worker
-    // subprocesses below the journal (Sharded over the substrate);
-    // results are bit-identical for every N, so the shard flags stay
-    // out of the campaign identity hash, and a journal written
-    // sharded resumes unsharded (and vice versa).
     const std::uint32_t tasks = stack.sim().workload().taskCount();
-    std::unique_ptr<core::ShardedEngine> sharded;
-    if (shards > 0) {
-        std::string workerPath = args.get("worker");
-        if (workerPath.empty()) {
-            workerPath = (std::filesystem::path(argv[0])
-                              .parent_path() /
-                          "statsched_worker")
-                             .string();
-        }
-        const std::string engineConfig = args.get("benchmark") + "|" +
-            args.get("instances") + "|" + args.get("fault-rate") +
-            "|" + args.get("fault-garbage") + "|" +
-            args.get("fault-outlier") + "|" +
-            args.get("fault-hang") + "|" + args.get("fault-seed");
-        const std::uint64_t fingerprint =
-            core::shardConfigFingerprint(engineConfig);
-        const std::vector<std::string> workerArgv = {
-            workerPath,
-            "--benchmark", args.get("benchmark"),
-            "--instances", args.get("instances"),
-            "--fault-rate", args.get("fault-rate"),
-            "--fault-garbage", args.get("fault-garbage"),
-            "--fault-outlier", args.get("fault-outlier"),
-            "--fault-hang", args.get("fault-hang"),
-            "--fault-seed", args.get("fault-seed"),
-            "--config-hash", std::to_string(fingerprint),
-        };
-        core::ShardedOptions sharding;
-        sharding.shards = static_cast<std::size_t>(shards);
-        sharding.requestDeadlineSeconds = shardDeadline;
-        sharding.expected.configHash = fingerprint;
-        sharding.expected.cores = topo.cores;
-        sharding.expected.pipesPerCore = topo.pipesPerCore;
-        sharding.expected.strandsPerPipe = topo.strandsPerPipe;
-        sharding.expected.tasks = tasks;
-        sharding.clock = &clock;
-        sharding.auditFraction = auditFraction;
-        sharding.auditSeed =
-            static_cast<std::uint64_t>(args.getInt("seed"));
-        sharding.health = &health;
-        core::ShardBackendFactory backendFactory;
-        if (garbageShard >= 0) {
-            // Chaos: one slot gets a Byzantine worker. Its corrupted
-            // values carry valid frames and CRCs — only the audit
-            // layer can tell it from an honest one.
-            backendFactory = core::makeProcessShardFactory(
-                [workerArgv, garbageShard](std::size_t index) {
-                    std::vector<std::string> argv = workerArgv;
-                    if (index ==
-                        static_cast<std::size_t>(garbageShard))
-                        argv.push_back("--garbage-values");
-                    return argv;
-                },
-                clock, shardDeadline);
-        } else {
-            backendFactory = core::makeProcessShardFactory(
-                workerArgv, clock, shardDeadline);
-        }
-        sharded = std::make_unique<core::ShardedEngine>(
-            stack.substrate(), std::move(backendFactory), sharding);
-    }
-    core::PerformanceEngine &substrate =
-        sharded ? *sharded : stack.substrate();
-
     const core::CampaignResult result = core::runCampaign(
-        substrate, topo, tasks,
+        stack.substrate(), topo, tasks,
         static_cast<std::uint64_t>(args.getInt("seed")), campaign);
 
     if (!result.ran) {
@@ -876,9 +731,9 @@ cmdIterate(int argc, char **argv)
     int code = campaignExitCode(result);
     if (code == 0 && health.worst() != core::HealthLevel::Ok) {
         // The search met its target, but some component ran degraded
-        // (journal on memory only, shards quarantined/convicted, weak
-        // final estimate). The results are exact; the distinct code
-        // tells scripts the environment was not.
+        // (journal on memory only, weak final estimate). The results
+        // are exact; the distinct code tells scripts the environment
+        // was not.
         std::fprintf(stderr, "health: completed DEGRADED —");
         for (const core::Health::Component &component :
              health.components()) {
@@ -915,8 +770,6 @@ cmdHelp()
         "             [--max N] [--confident] [--cold-fits]\n"
         "             [--journal PATH [--resume]] [--deadline-s S]\n"
         "             [--max-measurements N] [--max-rounds N]\n"
-        "             [--shards N [--worker PATH] "
-        "[--shard-deadline-s S]]\n"
         "  help\n\n"
         "measurement commands also take --threads N (0 = hardware "
         "concurrency)\nand --no-memoize (measure duplicate "
@@ -936,20 +789,11 @@ cmdHelp()
         "sealed ones; --journal-on-error degrade completes the\nrun "
         "on memory-only recording after ENOSPC/EIO instead of "
         "aborting.\n\n"
-        "sharding: --shards N fans measurement batches out to N "
-        "statsched_worker\nprocesses (bit-identical results for any "
-        "N, including 0). Dead or hung\nworkers are re-issued, "
-        "respawned with backoff, then quarantined; with\nevery "
-        "worker quarantined the campaign degrades to in-process "
-        "measuring.\n--audit-fraction F duplicates a seeded F of "
-        "indices to a second worker\nand convicts backends returning "
-        "corrupt values. Worker exit codes:\n0 clean stop, 2 usage, "
-        "3 protocol error.\n\n"
         "iterate exit codes: 0 target met, 2 usage or journal "
         "error,\n3 sample cap reached, 4 engine failure, "
         "5 interrupted,\n6 deadline or budget exhausted, 7 completed "
-        "with degraded health\n(results exact; journal or shards "
-        "impaired).\n\n"
+        "with degraded health\n(results exact; journal impaired or "
+        "final estimate weak).\n\n"
         "benchmarks: ipfwd-l1 ipfwd-mem analyzer aho stateful "
         "intadd intmul\n");
     return 0;
