@@ -23,7 +23,7 @@
  *    once a cumulative byte budget is exhausted — the write that
  *    crosses the budget is split exactly at the boundary, which is
  *    what a real disk filling up mid-record looks like. The shared
- *    FaultPlan carries the budget across segment rotations.
+ *    FaultPlan carries the budget across every sink it wraps.
  *
  * src/core is linted (statsched-raw-file-io) to route all file I/O
  * through this layer; the raw syscalls live here, in src/base, where
@@ -224,8 +224,8 @@ class MemorySink : public Sink
 
 /**
  * Deterministic failure budget shared by every FaultInjectingSink of
- * one scenario. Cumulative across sinks, so a journal that rotates
- * segments still hits the fault at the same global byte offset.
+ * one scenario. Cumulative across sinks, so the fault fires at the same
+ * global byte offset however many files the scenario opens.
  */
 struct FaultPlan
 {
@@ -290,9 +290,9 @@ class FaultInjectingSink : public Sink
 
 /**
  * Creates the sink for a (possibly new) file. `truncate` empties an
- * existing file first; append otherwise. Used by the journal for the
- * main file and each rotated segment, so a factory injected here
- * reaches every byte the journal ever writes.
+ * existing file first; append otherwise. The journal opens its file
+ * through it, so a factory injected here reaches every byte the
+ * journal ever writes.
  */
 using SinkFactory = std::function<std::unique_ptr<Sink>(
     const std::string &path, bool truncate, IoResult &result)>;

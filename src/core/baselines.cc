@@ -5,6 +5,10 @@
 
 #include "core/baselines.hh"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "base/check.hh"
 #include "core/sampler.hh"
 #include "stats/descriptive.hh"
@@ -80,6 +84,11 @@ naiveExpectedPerformance(PerformanceEngine &engine,
     const std::vector<Assignment> batch = sampler.drawSample(draws);
     std::vector<double> values(batch.size());
     engine.measureBatch(batch, values);
+    // NaN is the double channel's failure marker (a reading the stack
+    // could not recover); it says nothing about the scheduler.
+    std::erase_if(values, [](double v) { return !std::isfinite(v); });
+    if (values.empty())
+        return std::numeric_limits<double>::quiet_NaN();
     return stats::mean(values);
 }
 

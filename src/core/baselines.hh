@@ -52,7 +52,9 @@ Assignment packedAssignment(const Topology &topology,
 
 /**
  * Expected performance of the Naive (random) scheduler: the mean
- * measured performance over `draws` iid random assignments.
+ * measured performance over `draws` iid random assignments. Failed
+ * measurements (non-finite readings) are left out of the mean; NaN
+ * when every measurement failed.
  *
  * @param engine  Measurement engine.
  * @param topology Processor shape.

@@ -40,17 +40,7 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
     if (!options.journalPath.empty()) {
         JournalConfig journalConfig;
         journalConfig.onError = options.journalOnError;
-        journalConfig.segmentBytes = options.journalSegmentBytes;
         journalConfig.sinkFactory = options.journalSinkFactory;
-        if (options.health != nullptr) {
-            Health *health = options.health;
-            journalConfig.onDegrade =
-                [health](const std::string &detail) {
-                    health->transition("journal",
-                                       HealthLevel::Degraded,
-                                       detail);
-                };
-        }
         if (options.resume) {
             JournalRecovery recovery =
                 recoverJournal(options.journalPath);
@@ -107,9 +97,9 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
         if (journaling) {
             journaling->setRound(static_cast<std::uint32_t>(round));
             // Periodic Progress checkpoint at every round boundary:
-            // operator telemetry for a crashed run, and the material
-            // segment compaction reclaims (no-op while replaying —
-            // the original run already journaled these rounds).
+            // operator telemetry for a crashed run (no-op while
+            // replaying — the original run already journaled these
+            // rounds).
             if (round > 0 && !journaling->replaying()) {
                 JournalCheckpoint progress;
                 progress.kind = CheckpointKind::Progress;
@@ -157,21 +147,12 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
         result.journalDegraded = journaling->journalDegraded();
         result.unjournaledMeasurements =
             journaling->unjournaledMeasurements();
-        result.journalSegmentsRotated =
-            journaling->journal().segmentsRotated();
-        result.journalCompactedBytes =
-            journaling->journal().compactedBytes();
         if (journaling->mismatch())
             result.journalError = "journal replay diverged: " +
                 journaling->mismatchDetail();
-        else if (journaling->journalFailed()) {
+        else if (journaling->journalFailed())
             result.journalError = "journal media failure: " +
                 journaling->journal().errorDetail();
-            if (options.health != nullptr)
-                options.health->transition(
-                    "journal", HealthLevel::Failing,
-                    journaling->journal().errorDetail());
-        }
 
         // Final checkpoint: even an aborted campaign leaves a synced
         // summary of how far it got, and the Complete/Aborted kind
@@ -186,20 +167,6 @@ runCampaign(PerformanceEngine &engine, const Topology &topology,
         checkpoint.best = result.search.final.bestObserved;
         journaling->checkpoint(checkpoint);
     }
-
-    // Estimator health: only the FINAL estimate matters (early
-    // rounds are Degraded by construction — too little tail data —
-    // and an aborted campaign never reached its stop condition, so
-    // its estimate is incomplete rather than unhealthy).
-    if (options.health != nullptr && !result.aborted() &&
-        result.search.final.pot.status != stats::EstimateStatus::Ok)
-        options.health->transition(
-            "estimator", HealthLevel::Degraded,
-            std::string(estimateStatusName(
-                result.search.final.pot.status)) +
-                (result.search.final.pot.invalidReason.empty()
-                     ? std::string()
-                     : ": " + result.search.final.pot.invalidReason));
     return result;
 }
 

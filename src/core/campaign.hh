@@ -27,6 +27,12 @@
  * campaign logic — like everything in src/core — remains a
  * deterministic function of its inputs and is testable with
  * base::ManualClock and a scripted predicate.
+ *
+ * CampaignResult is the whole report of how a campaign fared: the
+ * search outcome, the journal's state (degraded to memory only,
+ * failed, diverged) and, through search.final.pot.status, the
+ * estimator's. Drivers decide from it what to print and which exit
+ * code to return.
  */
 
 #ifndef STATSCHED_CORE_CAMPAIGN_HH
@@ -36,7 +42,6 @@
 #include <functional>
 #include <string>
 
-#include "core/health.hh"
 #include "core/iterative.hh"
 #include "core/journal.hh"
 #include "core/resilient_engine.hh"
@@ -78,15 +83,9 @@ struct CampaignOptions
      *  results but reduced durability. Operational only — not part
      *  of the campaign identity hash. */
     JournalErrorPolicy journalOnError = JournalErrorPolicy::Abort;
-    /** Rotate journal segments at this size (0 = single file). */
-    std::uint64_t journalSegmentBytes = 0;
-    /** Sink source for journal files; empty means real files. Tests
-     *  and the chaos harness inject fault-injecting factories. */
+    /** Sink source for the journal file; empty means a real file.
+     *  Tests and the chaos harness inject fault-injecting factories. */
     base::io::SinkFactory journalSinkFactory;
-
-    /** Health aggregate receiving journal/estimator
-     *  transitions; optional, not owned. */
-    Health *health = nullptr;
 
     /** Wall-clock budget in seconds; 0 disables. Requires `clock`. */
     double deadlineSeconds = 0.0;
@@ -142,10 +141,6 @@ struct CampaignResult
     /** Measurements that never reached the journal after it
      *  degraded. */
     std::uint64_t unjournaledMeasurements = 0;
-    /** Journal segment rotations performed this run. */
-    std::uint64_t journalSegmentsRotated = 0;
-    /** Bytes reclaimed by compacting sealed journal segments. */
-    std::uint64_t journalCompactedBytes = 0;
 
     /** @return true when the campaign stopped on an external stop
      *  condition (not convergence, not the sample cap). */

@@ -13,6 +13,15 @@ namespace statsched
 namespace core
 {
 
+namespace
+{
+
+/** Bound on replacement draws per round when measurements fail (see
+ *  the top-up loop below). */
+constexpr std::size_t kMaxTopUpRounds = 3;
+
+} // anonymous namespace
+
 IterativeResult
 iterativeAssignmentSearch(PerformanceEngine &engine,
                           const Topology &topology, std::uint32_t tasks,
@@ -27,8 +36,7 @@ iterativeAssignmentSearch(PerformanceEngine &engine,
                   "sample sizes must be positive");
 
     OptimalPerformanceEstimator estimator(engine, topology, tasks, seed,
-                                          options.pot,
-                                          options.warmStartFits);
+                                          options.pot);
 
     IterativeResult result;
     std::size_t to_draw = options.initialSample;
@@ -55,23 +63,22 @@ iterativeAssignmentSearch(PerformanceEngine &engine,
 
         result.final = estimator.extend(to_draw);
 
-        // Top the round back up to its quota of *valid* points: a
+        // Top the round back up to its quota of *valid* points
+        // (Ninit / Ndelta count valid measurements, not attempts): a
         // failed measurement carries no information, so without
         // replacement draws a faulty testbed would silently shrink
-        // Ndelta and slow convergence. Bounded rounds keep a
+        // Ndelta and slow convergence. Bounded top-ups keep a
         // mostly-dead engine from retrying forever.
         std::size_t top_ups = 0;
-        if (options.topUpFailedMeasurements) {
-            for (std::size_t round = 0;
-                 round < options.maxTopUpRounds; ++round) {
-                const std::size_t gained =
-                    estimator.sampleSize() - valid_before;
-                if (gained >= to_draw)
-                    break;
-                const std::size_t deficit = to_draw - gained;
-                top_ups += deficit;
-                result.final = estimator.extend(deficit);
-            }
+        for (std::size_t top_up = 0; top_up < kMaxTopUpRounds;
+             ++top_up) {
+            const std::size_t gained =
+                estimator.sampleSize() - valid_before;
+            if (gained >= to_draw)
+                break;
+            const std::size_t deficit = to_draw - gained;
+            top_ups += deficit;
+            result.final = estimator.extend(deficit);
         }
 
         result.totalSampled = estimator.sampleSize();

@@ -100,21 +100,6 @@ struct IterativeOptions
      */
     bool useUpperConfidenceBound = false;
     /**
-     * Seed each round's GPD fit from the previous round's (fast path;
-     * likelihoods agree with cold fits to ~1e-9). Disable to make each
-     * Step 2 bit-identical to from-scratch estimation.
-     */
-    bool warmStartFits = true;
-    /**
-     * When measurements fail (engine failure channel), draw
-     * replacements so every round still contributes its full quota of
-     * valid points — Ninit / Ndelta count *valid* measurements, not
-     * attempts. Disable to keep the paper's fixed draw counts.
-     */
-    bool topUpFailedMeasurements = true;
-    /** Bound on replacement rounds per iteration when topping up. */
-    std::size_t maxTopUpRounds = 3;
-    /**
      * Probed at the top of every round — before the round's
      * measurements — with the zero-based round index. Returning a
      * kind other than None stops the loop gracefully: in-flight

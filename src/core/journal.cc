@@ -166,43 +166,21 @@ serializeHeader(const JournalHeader &header)
     return bytes;
 }
 
-/** Record-level scan of one journal file (header + records). */
-struct SegmentScan
-{
-    bool headerValid = false;
-    JournalHeader header;
-    std::vector<JournalBatch> batches;
-    std::vector<JournalCheckpoint> checkpoints;
-    std::uint64_t validBytes = 0; //!< trusted prefix of this file
-    std::uint64_t totalBytes = 0; //!< file size as read
-    std::string error;            //!< unusable header, if any
-
-    /** @return true when every byte of the file is trusted (no torn
-     *  tail) — the condition for trusting a successor segment. */
-    bool
-    clean() const
-    {
-        return headerValid && validBytes == totalBytes;
-    }
-};
-
 /**
- * Validates one journal file: header, then records with group-commit
- * semantics (validBytes only advances at complete batch groups and
- * checkpoints). Shared by recovery and segment compaction.
+ * Validates the bytes of a journal file into `recovery`: header,
+ * then records with group-commit semantics (validBytes only advances
+ * at complete batch groups and checkpoints).
  */
-SegmentScan
-scanSegment(const std::vector<std::uint8_t> &bytes)
+void
+scanJournal(const std::vector<std::uint8_t> &bytes,
+            JournalRecovery &scan)
 {
-    SegmentScan scan;
-    scan.totalBytes = bytes.size();
-
     // Header: fixed size, trailing CRC over everything before it. A
     // bad header means the file is not ours (or the very first write
     // was torn) — unusable either way.
     if (bytes.size() < kHeaderSize) {
         scan.error = "journal shorter than its header";
-        return scan;
+        return;
     }
     {
         ByteReader r(bytes.data(), kHeaderSize);
@@ -211,13 +189,13 @@ scanSegment(const std::vector<std::uint8_t> &bytes)
             magicOk &= r.u8() == static_cast<std::uint8_t>(c);
         if (!magicOk) {
             scan.error = "journal magic mismatch";
-            return scan;
+            return;
         }
         const std::uint32_t version = r.u32();
         if (version != kJournalVersion) {
             scan.error = "unsupported journal version " +
                 std::to_string(version);
-            return scan;
+            return;
         }
         scan.header.seed = r.u64();
         scan.header.cores = r.u32();
@@ -230,7 +208,7 @@ scanSegment(const std::vector<std::uint8_t> &bytes)
             journalCrc32(bytes.data(), kHeaderSize - 4);
         if (storedCrc != computedCrc) {
             scan.error = "journal header checksum mismatch";
-            return scan;
+            return;
         }
     }
     scan.headerValid = true;
@@ -343,8 +321,7 @@ scanSegment(const std::vector<std::uint8_t> &bytes)
             scan.validBytes = offset; // checkpoint committed
         }
     }
-
-    return scan;
+    scan.truncatedBytes = bytes.size() - scan.validBytes;
 }
 
 } // anonymous namespace
@@ -398,103 +375,21 @@ journalErrorPolicyName(JournalErrorPolicy policy)
     return "?";
 }
 
-std::string
-journalSegmentPath(const std::string &base, std::uint32_t index)
-{
-    std::string suffix = std::to_string(index);
-    while (suffix.size() < 3)
-        suffix.insert(suffix.begin(), '0');
-    return base + "." + suffix;
-}
-
 JournalRecovery
 recoverJournal(const std::string &path)
 {
     JournalRecovery recovery;
     std::vector<std::uint8_t> bytes;
-
-    // A plain file at the exact path is a single-file journal, even
-    // when a stale segment chain also exists — the plain file is what
-    // the last writer committed to.
     if (base::io::readFileBytes(path, bytes).ok()) {
         recovery.fileExists = true;
-        recovery.segmented = false;
-        recovery.activeSegment = path;
-        recovery.activeSegmentIndex = 0;
-        SegmentScan scan = scanSegment(bytes);
-        if (!scan.headerValid) {
-            recovery.error = scan.error;
-            return recovery;
-        }
-        recovery.headerValid = true;
-        recovery.header = scan.header;
-        recovery.batches = std::move(scan.batches);
-        recovery.checkpoints = std::move(scan.checkpoints);
-        recovery.validBytes = scan.validBytes;
-        recovery.truncatedBytes = scan.totalBytes - scan.validBytes;
-        recovery.segmentFiles.push_back(path);
-        return recovery;
-    }
-
-    if (!base::io::fileExists(journalSegmentPath(path, 0))) {
+        scanJournal(bytes, recovery);
+    } else if (base::io::fileExists(path + ".000")) {
+        // Older builds could split a journal into a chain PATH.000,
+        // PATH.001, ...; this build reads one file only.
+        recovery.error = "journal is a segment chain (" + path +
+            ".000, ...); this build resumes single-file journals only";
+    } else {
         recovery.error = "journal does not exist or is unreadable";
-        return recovery;
-    }
-
-    // Segment chain: every segment carries the full identity header;
-    // trust stops at the first torn, foreign or unreadable segment —
-    // anything after the trust horizon was written by a writer whose
-    // predecessor state we cannot vouch for.
-    recovery.segmented = true;
-    for (std::uint32_t i = 0;; ++i) {
-        const std::string segPath = journalSegmentPath(path, i);
-        if (!base::io::readFileBytes(segPath, bytes).ok()) {
-            if (base::io::fileExists(segPath))
-                recovery.staleSegments.push_back(segPath);
-            break; // end of chain (or unreadable: stop trusting)
-        }
-        recovery.fileExists = true;
-        SegmentScan scan = scanSegment(bytes);
-        const bool trusted = scan.headerValid &&
-            (i == 0 || scan.header == recovery.header);
-        if (i == 0 && !trusted) {
-            recovery.error = scan.error.empty()
-                ? "journal header mismatch"
-                : scan.error;
-            return recovery;
-        }
-        if (!trusted) {
-            recovery.staleSegments.push_back(segPath);
-            for (std::uint32_t j = i + 1;
-                 base::io::fileExists(journalSegmentPath(path, j));
-                 ++j)
-                recovery.staleSegments.push_back(
-                    journalSegmentPath(path, j));
-            break;
-        }
-        if (i == 0) {
-            recovery.headerValid = true;
-            recovery.header = scan.header;
-        }
-        for (JournalBatch &b : scan.batches)
-            recovery.batches.push_back(std::move(b));
-        for (const JournalCheckpoint &cp : scan.checkpoints)
-            recovery.checkpoints.push_back(cp);
-        recovery.segmentFiles.push_back(segPath);
-        recovery.activeSegment = segPath;
-        recovery.activeSegmentIndex = i;
-        recovery.validBytes = scan.validBytes;
-        recovery.truncatedBytes += scan.totalBytes - scan.validBytes;
-        if (!scan.clean()) {
-            // Torn tail mid-chain: successors were appended after
-            // bytes we just distrusted — they are stale, not valid.
-            for (std::uint32_t j = i + 1;
-                 base::io::fileExists(journalSegmentPath(path, j));
-                 ++j)
-                recovery.staleSegments.push_back(
-                    journalSegmentPath(path, j));
-            break;
-        }
     }
     return recovery;
 }
@@ -502,97 +397,40 @@ recoverJournal(const std::string &path)
 MeasurementJournal::MeasurementJournal(const std::string &path,
                                        const JournalHeader &header,
                                        JournalConfig config)
-    : config_(std::move(config)), basePath_(path)
+    : config_(std::move(config)), path_(path)
 {
     if (!config_.sinkFactory)
         config_.sinkFactory = base::io::fileSinkFactory();
-    headerBytes_ = serializeHeader(header);
-    segmented_ = config_.segmentBytes > 0;
-    activePath_ = segmented_ ? journalSegmentPath(path, 0) : path;
-    if (segmented_) {
-        // A fresh segmented journal must not leave segments from a
-        // previous campaign behind the new chain head — recovery
-        // would splice their records onto ours.
-        for (std::uint32_t i = 1;
-             base::io::fileExists(journalSegmentPath(path, i)); ++i)
-            base::io::removeFile(journalSegmentPath(path, i));
-    }
-    openActive(/*truncate=*/true);
+    const std::vector<std::uint8_t> headerBytes = serializeHeader(header);
+    openSink(/*truncate=*/true);
     if (recording() &&
-        writeChecked(headerBytes_.data(), headerBytes_.size()))
+        writeChecked(headerBytes.data(), headerBytes.size()))
         sync();
-}
-
-MeasurementJournal::MeasurementJournal(const std::string &path,
-                                       std::uint64_t validBytes)
-    : basePath_(path), activePath_(path)
-{
-    config_.sinkFactory = base::io::fileSinkFactory();
-    // Physically drop the untrustworthy tail before appending: a
-    // later recovery must never see the old bytes behind new records.
-    const base::io::IoResult truncated =
-        base::io::truncateFile(path, validBytes);
-    if (!truncated.ok()) {
-        handleIoFailure(truncated);
-        return;
-    }
-    openActive(/*truncate=*/false);
-    segmentBytes_ = validBytes;
 }
 
 MeasurementJournal::MeasurementJournal(const std::string &path,
                                        const JournalRecovery &recovery,
                                        JournalConfig config)
-    : config_(std::move(config)), basePath_(path)
+    : config_(std::move(config)), path_(path)
 {
     if (!config_.sinkFactory)
         config_.sinkFactory = base::io::fileSinkFactory();
-    headerBytes_ = serializeHeader(recovery.header);
-    // Continue in the mode found on disk: a single-file journal stays
-    // single-file even when the resumed run asks for segments (the
-    // two layouts must never coexist at one path).
-    segmented_ = recovery.segmented;
-    segmentIndex_ = recovery.activeSegmentIndex;
-    activePath_ = recovery.activeSegment.empty()
-        ? path
-        : recovery.activeSegment;
-    for (const std::string &stale : recovery.staleSegments)
-        base::io::removeFile(stale);
+    // Physically drop the untrustworthy tail before appending: a
+    // later recovery must never see the old bytes behind new records.
     const base::io::IoResult truncated =
-        base::io::truncateFile(activePath_, recovery.validBytes);
+        base::io::truncateFile(path, recovery.validBytes);
     if (!truncated.ok()) {
         handleIoFailure(truncated);
         return;
     }
-    openActive(/*truncate=*/false);
-    segmentBytes_ = recovery.validBytes;
-}
-
-MeasurementJournal::MeasurementJournal(
-    MeasurementJournal &&other) noexcept
-    : config_(std::move(other.config_)),
-      sink_(std::move(other.sink_)),
-      basePath_(std::move(other.basePath_)),
-      activePath_(std::move(other.activePath_)),
-      segmented_(other.segmented_),
-      segmentIndex_(other.segmentIndex_),
-      segmentBytes_(other.segmentBytes_),
-      headerBytes_(std::move(other.headerBytes_)),
-      degraded_(other.degraded_),
-      failed_(other.failed_),
-      errorDetail_(std::move(other.errorDetail_)),
-      droppedRecords_(other.droppedRecords_),
-      rotations_(other.rotations_),
-      compactedBytes_(other.compactedBytes_),
-      bytesWritten_(other.bytesWritten_)
-{
+    openSink(/*truncate=*/false);
 }
 
 void
-MeasurementJournal::openActive(bool truncate)
+MeasurementJournal::openSink(bool truncate)
 {
     base::io::IoResult result;
-    sink_ = config_.sinkFactory(activePath_, truncate, result);
+    sink_ = config_.sinkFactory(path_, truncate, result);
     if (!sink_)
         handleIoFailure(result);
 }
@@ -602,15 +440,13 @@ MeasurementJournal::handleIoFailure(const base::io::IoResult &result)
 {
     if (degraded_ || failed_)
         return; // already latched
-    errorDetail_ = activePath_ + ": " + result.detail;
+    errorDetail_ = path_ + ": " + result.detail;
     sink_.reset();
     if (config_.onError == JournalErrorPolicy::Degrade) {
         degraded_ = true;
         warn("journal degraded to memory-only recording (" +
              errorDetail_ + "); results stay exact, durability from "
              "this point is lost");
-        if (config_.onDegrade)
-            config_.onDegrade(errorDetail_);
     } else {
         failed_ = true;
         warn("journal media failure (" + errorDetail_ +
@@ -634,7 +470,6 @@ MeasurementJournal::writeChecked(const std::uint8_t *data,
          ++attempt) {
         result = sink_->write(p, left);
         bytesWritten_ += result.bytesWritten;
-        segmentBytes_ += result.bytesWritten;
         if (result.ok())
             return true;
         p += result.bytesWritten;
@@ -665,100 +500,9 @@ MeasurementJournal::writeRecord(std::uint8_t type,
 }
 
 void
-MeasurementJournal::rotateSegment()
-{
-    // Seal the active segment: everything in it must be durable
-    // before a successor exists, or recovery could trust a successor
-    // whose predecessor still had bytes in flight.
-    const base::io::IoResult sealed = sink_->sync();
-    if (!sealed.ok()) {
-        handleIoFailure(sealed);
-        return;
-    }
-    sink_.reset();
-    compactSealedSegment(activePath_);
-    ++segmentIndex_;
-    ++rotations_;
-    activePath_ = journalSegmentPath(basePath_, segmentIndex_);
-    openActive(/*truncate=*/true);
-    if (!recording())
-        return;
-    segmentBytes_ = 0;
-    if (writeChecked(headerBytes_.data(), headerBytes_.size())) {
-        const base::io::IoResult synced = sink_->sync();
-        if (!synced.ok())
-            handleIoFailure(synced);
-    }
-}
-
-void
-MeasurementJournal::compactSealedSegment(const std::string &path)
-{
-    // Best-effort space reclaim on a segment that will never be
-    // appended again: interior Progress checkpoints are operator
-    // telemetry, not replay substance — drop them. Batch groups are
-    // always kept (replay needs every one). Any failure abandons the
-    // rewrite and keeps the original: compaction is an optimization,
-    // never a correctness step.
-    std::vector<std::uint8_t> bytes;
-    if (!base::io::readFileBytes(path, bytes).ok())
-        return;
-    SegmentScan scan = scanSegment(bytes);
-    if (!scan.clean())
-        return;
-
-    std::vector<std::uint8_t> out(bytes.begin(),
-                                  bytes.begin() + kHeaderSize);
-    std::size_t offset = kHeaderSize;
-    while (offset < bytes.size()) {
-        const std::uint8_t type = bytes[offset];
-        const std::uint16_t size =
-            static_cast<std::uint16_t>(bytes[offset + 1]) |
-            static_cast<std::uint16_t>(bytes[offset + 2]) << 8;
-        const std::size_t frame = 3u + size + 4u;
-        bool keep = true;
-        if (type == kRecordCheckpoint && size == kCheckpointSize) {
-            const std::uint8_t kind = bytes[offset + 3];
-            keep = kind !=
-                static_cast<std::uint8_t>(CheckpointKind::Progress);
-        }
-        if (keep)
-            out.insert(out.end(), bytes.begin() + offset,
-                       bytes.begin() + offset + frame);
-        offset += frame;
-    }
-    if (out.size() == bytes.size())
-        return; // nothing to reclaim
-
-    const std::string tmp = path + ".tmp";
-    {
-        base::io::IoResult result;
-        std::unique_ptr<base::io::Sink> sink =
-            config_.sinkFactory(tmp, /*truncate=*/true, result);
-        if (!sink)
-            return;
-        if (!sink->write(out.data(), out.size()).ok() ||
-            !sink->sync().ok()) {
-            sink.reset();
-            base::io::removeFile(tmp);
-            return;
-        }
-    }
-    if (!base::io::renameFile(tmp, path).ok()) {
-        base::io::removeFile(tmp);
-        return;
-    }
-    compactedBytes_ += bytes.size() - out.size();
-}
-
-void
 MeasurementJournal::beginBatch(std::uint32_t round,
                                std::uint32_t count)
 {
-    // Rotation only between groups, so no group ever spans segments.
-    if (recording() && segmented_ &&
-        segmentBytes_ >= config_.segmentBytes)
-        rotateSegment();
     std::vector<std::uint8_t> payload;
     payload.reserve(kBatchBeginSize);
     ByteWriter w(payload);
@@ -785,9 +529,6 @@ void
 MeasurementJournal::appendCheckpoint(
     const JournalCheckpoint &checkpoint)
 {
-    if (recording() && segmented_ &&
-        segmentBytes_ >= config_.segmentBytes)
-        rotateSegment();
     std::vector<std::uint8_t> payload;
     payload.reserve(kCheckpointSize);
     ByteWriter w(payload);

@@ -192,9 +192,9 @@ TEST(FaultInjectingSink, SplitsTheCrossingWriteAtTheExactBoundary)
 
 TEST(FaultInjectingSink, BudgetIsCumulativeAcrossSinks)
 {
-    // A journal that rotates segments opens a new sink per segment;
-    // the shared plan must carry the budget across them so the fault
-    // fires at the same global byte offset regardless of rotation.
+    // One plan may wrap several sinks (files); it must carry the
+    // budget across them so the fault fires at the same global byte
+    // offset whichever file takes the write.
     TempPath seg0("fault_seg0");
     TempPath seg1("fault_seg1");
     auto plan = std::make_shared<FaultPlan>();

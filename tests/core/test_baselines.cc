@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "core/baselines.hh"
 
@@ -106,6 +108,47 @@ TEST(Baselines, DeterministicBySeed)
     const double a = naiveExpectedPerformance(engine, t2, 6, 100, 5);
     const double b = naiveExpectedPerformance(engine, t2, 6, 100, 5);
     EXPECT_DOUBLE_EQ(a, b);
+}
+
+/** Fails (NaN, the double channel's failure marker) whenever task 0
+ *  sits on core 0 — or always — and reads 5 otherwise. */
+class PartlyFailingEngine : public PerformanceEngine
+{
+  public:
+    explicit PartlyFailingEngine(bool failAll) : failAll_(failAll) {}
+
+    double
+    measure(const Assignment &assignment) override
+    {
+        ++measured;
+        if (failAll_ || assignment.coreOf(0) == 0) {
+            ++failed;
+            return std::numeric_limits<double>::quiet_NaN();
+        }
+        return 5.0;
+    }
+
+    std::string name() const override { return "partly-failing"; }
+
+    int measured = 0;
+    int failed = 0;
+
+  private:
+    bool failAll_;
+};
+
+TEST(Baselines, NaiveExpectedPerformanceSkipsFailedMeasurements)
+{
+    PartlyFailingEngine engine(/*failAll=*/false);
+    const double naive =
+        naiveExpectedPerformance(engine, t2, 6, 400, 17);
+    EXPECT_EQ(engine.measured, 400);
+    EXPECT_GT(engine.failed, 0);
+    EXPECT_LT(engine.failed, 400);
+    EXPECT_EQ(naive, 5.0);
+
+    PartlyFailingEngine dead(/*failAll=*/true);
+    EXPECT_TRUE(std::isnan(naiveExpectedPerformance(dead, t2, 6, 50, 17)));
 }
 
 } // anonymous namespace

@@ -409,4 +409,49 @@ TEST(Campaign, ResumeRejectsForeignJournal)
     EXPECT_FALSE(noFile.journalError.empty());
 }
 
+/** @return the bytes of `path`. */
+std::vector<char>
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(f)),
+                             std::istreambuf_iterator<char>());
+}
+
+TEST(Campaign, ResumeRefusesASegmentChainAndLeavesItUntouched)
+{
+    // Older builds could split a journal into PATH.000, PATH.001, ...
+    // with no file at PATH; each segment is a complete journal file.
+    // This build resumes single-file journals only: it must refuse
+    // the chain by name and leave every segment as it found it.
+    TempPath journal("chain");
+    TempPath seg0("chain.000");
+    TempPath seg1("chain.001");
+    ASSERT_EQ(seg0.str(), journal.str() + ".000");
+    ASSERT_TRUE(runFresh(seg0.str()).ran);
+    std::filesystem::copy_file(seg0.str(), seg1.str());
+    const std::vector<char> before0 = fileBytes(seg0.str());
+    const std::vector<char> before1 = fileBytes(seg1.str());
+
+    const core::JournalRecovery recovery =
+        core::recoverJournal(journal.str());
+    EXPECT_FALSE(recovery.headerValid);
+    EXPECT_NE(recovery.error.find("segment chain"), std::string::npos)
+        << recovery.error;
+
+    Substrate substrate;
+    CampaignOptions options = baseOptions(journal.str());
+    options.resume = true;
+    const CampaignResult refused = core::runCampaign(
+        substrate.parallel, t2, kTasks, kSeed, options);
+    EXPECT_FALSE(refused.ran);
+    EXPECT_NE(refused.journalError.find("segment chain"),
+              std::string::npos)
+        << refused.journalError;
+
+    EXPECT_FALSE(std::filesystem::exists(journal.str()));
+    EXPECT_EQ(fileBytes(seg0.str()), before0);
+    EXPECT_EQ(fileBytes(seg1.str()), before1);
+}
+
 } // namespace

@@ -293,7 +293,8 @@ TEST(Journal, AppendAfterRecoveryTruncatesTheTornTail)
     ASSERT_EQ(first.batches.size(), 1u);
 
     {
-        MeasurementJournal journal(path.str(), first.validBytes);
+        MeasurementJournal journal(path.str(), first,
+                                   core::JournalConfig{});
         journal.beginBatch(5, 1);
         journal.appendMeasurement(99, okOutcome(9.0));
         journal.sync();

@@ -17,7 +17,7 @@
  *
  *   disk-full      journal sink fails at a byte offset; degrade
  *                  policy completes bit-identically with exit 7 and a
- *                  "health: journal" transition, abort policy exits 2,
+ *                  "health: journal" line, abort policy exits 2,
  *                  and a resume against the latched journal finishes
  *                  clean.
  *   kill-resume    SIGKILL the campaign mid-run (exit 137), resume
@@ -119,7 +119,7 @@ shellQuote(const std::string &arg)
  * "exec ..."` — exec keeps the child's pid equal to the campaign's
  * pid (so signals and /proc ppid scans hit the right process) while
  * the shell redirects stderr to a file the scenarios can grep for
- * health transitions. stdout stays on the Subprocess pipe, captured
+ * health lines. stdout stays on the Subprocess pipe, captured
  * byte-exactly for the identity diffs.
  */
 class CliProcess
@@ -254,8 +254,8 @@ withArgs(std::vector<std::string> base,
 
 /**
  * The journal's medium fills mid-campaign. Degrade policy: the run
- * completes bit-identically, exits 7 and reports the journal health
- * transition; a later resume against the latched (valid-prefix)
+ * completes bit-identically, exits 7 and reports the degraded journal
+ * on stderr; a later resume against the latched (valid-prefix)
  * journal completes clean. Abort policy: the same fault is fatal,
  * documented exit 2.
  */
@@ -284,7 +284,7 @@ scenarioDiskFull(Context &ctx)
     const std::string degradeErr =
         readWholeFile(ctx.path("degrade.err"));
     ctx.expect(contains(degradeErr, "health: journal"),
-               "stderr reports the journal health transition");
+               "stderr reports the degraded journal");
     ctx.expect(contains(degradeErr, "DEGRADED"),
                "stderr reports the degraded completion summary");
 

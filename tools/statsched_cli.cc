@@ -428,9 +428,6 @@ cmdEstimate(int argc, char **argv)
     addEngineOptions(args);
     args.addOption("samples", "2000", "random assignments to draw");
     args.addOption("seed", "42", "sampler seed");
-    args.addFlag("cold-fits",
-                 "restart every GPD fit from the moment estimate "
-                 "(bit-identical to from-scratch estimation)");
     parseOrDie(args, "estimate", argc, argv);
 
     const long samples = positiveOrDie(args, "estimate", "samples");
@@ -440,7 +437,7 @@ cmdEstimate(int argc, char **argv)
     EngineStack stack = makeEngineStack(args);
     core::OptimalPerformanceEstimator estimator(
         stack.top(), topo, stack.sim().workload().taskCount(),
-        static_cast<std::uint64_t>(seed), {}, !args.flag("cold-fits"));
+        static_cast<std::uint64_t>(seed));
     const auto result =
         estimator.extend(static_cast<std::size_t>(samples));
 
@@ -522,9 +519,6 @@ cmdIterate(int argc, char **argv)
     args.addOption("max", "20000", "total sample cap");
     args.addFlag("confident",
                  "stop against the upper CI bound of the UPB");
-    args.addFlag("cold-fits",
-                 "restart every GPD fit from the moment estimate "
-                 "(bit-identical to from-scratch estimation)");
     args.addOption("journal", "",
                    "crash-safe measurement journal path");
     args.addFlag("resume",
@@ -532,9 +526,6 @@ cmdIterate(int argc, char **argv)
     args.addOption("journal-on-error", "abort",
                    "journal media failure policy: abort | degrade "
                    "(drop to memory-only recording)");
-    args.addOption("journal-segment-bytes", "0",
-                   "rotate journal segments at this size "
-                   "(0 = single file)");
     args.addOption("journal-fault-at", "0",
                    "chaos: fail journal writes after N bytes "
                    "(0 = off)");
@@ -572,10 +563,10 @@ cmdIterate(int argc, char **argv)
                      onErrorName.c_str());
         return 2;
     }
-    const long segmentBytes = args.getInt("journal-segment-bytes");
     const long journalFaultAt = args.getInt("journal-fault-at");
-    if (segmentBytes < 0 || journalFaultAt < 0) {
-        std::fprintf(stderr, "iterate: journal sizes must be >= 0\n");
+    if (journalFaultAt < 0) {
+        std::fprintf(stderr,
+                     "iterate: '--journal-fault-at' must be >= 0\n");
         return 2;
     }
     // The campaign runner owns the upper decorators (so its journal
@@ -594,16 +585,13 @@ cmdIterate(int argc, char **argv)
         positiveOrDie(args, "iterate", "max"));
     campaign.iterative.useUpperConfidenceBound =
         args.flag("confident");
-    campaign.iterative.warmStartFits = !args.flag("cold-fits");
 
     campaign.journalPath = args.get("journal");
     campaign.resume = args.flag("resume");
     // Failure-domain knobs: operational only, deliberately OUT of the
     // campaign identity hash — a resumed run may change its error
-    // policy or segmentation without losing its journal.
+    // policy without losing its journal.
     campaign.journalOnError = onError;
-    campaign.journalSegmentBytes =
-        static_cast<std::uint64_t>(segmentBytes);
     if (journalFaultAt > 0) {
         auto plan = std::make_shared<base::io::FaultPlan>();
         plan->failAfterBytes =
@@ -624,7 +612,9 @@ cmdIterate(int argc, char **argv)
     // the search trajectory (threads deliberately excluded — the
     // results are bit-identical under any thread count; budgets and
     // deadlines excluded — tightening or dropping them across a
-    // resume is legitimate).
+    // resume is legitimate). "f0" stands where a since-removed
+    // cold-fit flag was hashed; it stays so that existing journals
+    // keep their identity.
     campaign.configHash = hashConfigString(
         args.get("benchmark") + "|" + args.get("instances") + "|" +
         args.get("fault-rate") + "|" + args.get("fault-garbage") +
@@ -634,7 +624,7 @@ cmdIterate(int argc, char **argv)
         args.get("ninit") + "|" + args.get("ndelta") + "|" +
         args.get("max") + "|" +
         (args.flag("confident") ? "c1" : "c0") + "|" +
-        (args.flag("cold-fits") ? "f1" : "f0") + "|" +
+        "f0|" +
         (args.flag("no-memoize") ? "m0" : "m1"));
 
     // Wall clock and signals are injected here, at the edge: src/core
@@ -643,18 +633,6 @@ cmdIterate(int argc, char **argv)
     campaign.clock = &clock;
     base::installShutdownHandlers();
     campaign.stopRequested = [] { return base::shutdownRequested(); };
-
-    // Health aggregate: every component transition prints to stderr
-    // the moment it happens, and the worst level at exit decides
-    // between 0 and the "completed degraded" code 7.
-    core::Health health([](const core::HealthTransition &change) {
-        std::fprintf(stderr, "health: %s %s -> %s (%s)\n",
-                     change.component.c_str(),
-                     core::healthLevelName(change.from),
-                     core::healthLevelName(change.to),
-                     change.detail.c_str());
-    });
-    campaign.health = &health;
 
     const std::uint32_t tasks = stack.sim().workload().taskCount();
     const core::CampaignResult result = core::runCampaign(
@@ -711,38 +689,34 @@ cmdIterate(int argc, char **argv)
             std::fprintf(stderr, " (%llu bytes of torn tail dropped)",
                          static_cast<unsigned long long>(
                              result.journalTruncatedBytes));
-        if (result.journalSegmentsRotated != 0)
-            std::fprintf(stderr, " (%llu segment rotations, "
-                         "%llu bytes compacted)",
-                         static_cast<unsigned long long>(
-                             result.journalSegmentsRotated),
-                         static_cast<unsigned long long>(
-                             result.journalCompactedBytes));
-        if (result.journalDegraded)
-            std::fprintf(stderr, "; DEGRADED to memory-only "
-                         "(%llu measurements unjournaled)",
-                         static_cast<unsigned long long>(
-                             result.unjournaledMeasurements));
         std::fprintf(stderr, "\n");
     }
     printEngineStats(stderr, stack, result.engineStats,
                      campaign.memoize);
 
+    // Only the FINAL estimate is worth a health line: early rounds
+    // are Degraded by construction (too little tail data), and an
+    // aborted campaign's estimate is incomplete rather than unhealthy.
+    const stats::PotEstimate &pot = run.final.pot;
+    if (!result.aborted() && pot.status != stats::EstimateStatus::Ok)
+        std::fprintf(stderr, "health: estimator %s%s%s\n",
+                     stats::estimateStatusName(pot.status),
+                     pot.invalidReason.empty() ? "" : ": ",
+                     pot.invalidReason.c_str());
+    if (result.journalDegraded)
+        std::fprintf(stderr, "health: journal degraded "
+                     "(%llu measurements unjournaled)\n",
+                     static_cast<unsigned long long>(
+                         result.unjournaledMeasurements));
+
     int code = campaignExitCode(result);
-    if (code == 0 && health.worst() != core::HealthLevel::Ok) {
-        // The search met its target, but some component ran degraded
-        // (journal on memory only, weak final estimate). The results
-        // are exact; the distinct code tells scripts the environment
-        // was not.
-        std::fprintf(stderr, "health: completed DEGRADED —");
-        for (const core::Health::Component &component :
-             health.components()) {
-            if (component.level != core::HealthLevel::Ok)
-                std::fprintf(stderr, " %s=%s",
-                             component.name.c_str(),
-                             core::healthLevelName(component.level));
-        }
-        std::fprintf(stderr, "\n");
+    if (code == 0 && result.journalDegraded) {
+        // The search met its target, but the journal ran on memory
+        // only. The results are exact; the distinct code tells
+        // scripts that durability was not. (A weak final estimate
+        // never gets here: exit 0 needs a valid, Ok estimate.)
+        std::fprintf(stderr,
+                     "health: completed DEGRADED — journal=degraded\n");
         code = 7;
     }
     return code;
@@ -764,10 +738,9 @@ cmdHelp()
         "[--draws N]\n"
         "  estimate   --benchmark B [--instances K] [--samples N] "
         "[--seed S]\n"
-        "             [--cold-fits]\n"
         "  iterate    --benchmark B [--loss PCT] [--ninit N] "
         "[--ndelta N]\n"
-        "             [--max N] [--confident] [--cold-fits]\n"
+        "             [--max N] [--confident]\n"
         "             [--journal PATH [--resume]] [--deadline-s S]\n"
         "             [--max-measurements N] [--max-rounds N]\n"
         "  help\n\n"
@@ -785,15 +758,14 @@ cmdHelp()
         "--deadline-s / --max-measurements / --max-rounds stop\nthe "
         "campaign gracefully at a round boundary with a final "
         "checkpoint;\nso do SIGINT and SIGTERM. "
-        "--journal-segment-bytes N rotates segments\nand compacts "
-        "sealed ones; --journal-on-error degrade completes the\nrun "
-        "on memory-only recording after ENOSPC/EIO instead of "
+        "--journal-on-error degrade completes the run on\n"
+        "memory-only recording after ENOSPC/EIO instead of "
         "aborting.\n\n"
         "iterate exit codes: 0 target met, 2 usage or journal "
         "error,\n3 sample cap reached, 4 engine failure, "
-        "5 interrupted,\n6 deadline or budget exhausted, 7 completed "
-        "with degraded health\n(results exact; journal impaired or "
-        "final estimate weak).\n\n"
+        "5 interrupted,\n6 deadline or budget exhausted, 7 target met "
+        "but the journal\ndegraded to memory-only recording (results "
+        "exact).\n\n"
         "benchmarks: ipfwd-l1 ipfwd-mem analyzer aho stateful "
         "intadd intmul\n");
     return 0;
